@@ -1,8 +1,9 @@
 """Command-line interface: solve boards, run ad-hoc queries, run checks.
 
 Exit codes: 0 success/all checks pass, 1 check failure, 2 usage or parse
-error, 3 a check was resource-capped (and none failed). Output is
-deterministic byte-for-byte for a fixed command line.
+error, 3 a check was resource-capped (and none failed), 4 the run ran out
+of Python stack or memory. Output is deterministic byte-for-byte for a
+fixed command line.
 """
 
 import argparse
@@ -48,6 +49,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAPPED = 3
+EXIT_RESOURCE = 4
 
 
 def _positive(text: str) -> int:
@@ -227,6 +229,9 @@ def main(argv=None) -> int:
     except (ParseError, SignatureError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except (RecursionError, MemoryError) as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

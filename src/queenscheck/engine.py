@@ -1,28 +1,50 @@
-"""SLD resolution with chronological backtracking.
+"""SLD resolution with chronological backtracking, on one explicit-stack machine.
 
 Answers come out in depth-first, clause-source order. The selection rule
 and the occur-check are switchable; a depth limit (resolution steps per
 derivation branch) turns silent truncation into an explicit stream marker.
+
+The machine (`_run`) keeps a stack of frames, one per resolvent on the
+current branch: its goals, the resolution steps that led to it, the
+selected goal, the index of the next clause to try on that goal, and the
+trail mark to undo to before trying it. Expanding a resolvent pushes a
+frame, and a frame whose clauses are used up is popped, which is
+backtracking. The stack lives on the heap, so the search itself does not
+deepen the Python stack (the walkers that build an answer's terms still
+recurse once per term level). `solve` streams the machine's answers and
+`derivation_trace` reads its steps off the same machine.
+
+Each predicate's clauses are compiled once per call: the clause's
+variables, a template that renames it apart, and, per head argument, its
+principal functor and a first-occurrence flag. A head argument whose
+principal functor differs from that of the walked goal argument cannot
+unify with it, so such a clause is skipped before it is renamed. An
+argument is flagged when it is linear and, reading the head left to
+right, all its variables occur there for the first time. Renamed apart, it
+then shares no variable with the goal or with the arguments before it, so
+by the NSTO lemma (Apt and Pellegrini 1994: a linear term unifies with a
+term it shares no variable with without ever needing the occur-check) it
+is unified with no occurs scan; see `unify.try_unify_atoms`.
 """
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .terms import (
     Atom,
     Clause,
+    Compound,
     Program,
     Query,
     Substitution,
     Var,
     apply_subst,
     apply_subst_atom,
-    atom_vars,
     clause_vars,
+    is_ground,
     query_vars,
 )
-from .unify import resolve, resolve_atom, try_unify_atoms, undo_trail
+from .unify import resolve, resolve_atom, try_unify_atoms, undo_trail, walk
 
 SELECTION_RULES = ("leftmost", "rightmost", "fair_round_robin")
 
@@ -88,22 +110,170 @@ def _canonical_renaming(inst: Query, qvars) -> dict:
     return ren
 
 
-def _rename_clause(c: Clause, counter) -> Clause:
+def _answer(query: Query, qvars, bindings: dict) -> Answer:
+    inst = Query(tuple(resolve_atom(a, bindings) for a in query.atoms))
+    ren = _canonical_renaming(inst, qvars)
+    inst = Query(tuple(apply_subst_atom(ren, a) for a in inst.atoms))
+    subst = tuple(
+        (v, apply_subst(ren, resolve(v, bindings)))
+        for v in qvars
+        if resolve(v, bindings) != v
+    )
+    return Answer(subst, inst)
+
+
+# --- compiled clauses ---------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Compiled:
+    clause: Clause
+    names: tuple  # variable names, in order of first occurrence
+    head: tuple  # a template per head argument
+    body: tuple  # (pred, argument templates) per body atom
+    checks: tuple  # (argument index, principal functor) of each compound head argument
+    first_occurrence: tuple  # per head argument: linear, and all its variables new
+
+
+def _principal(t):
+    """(functor, arity) of a compound, None for a variable."""
+    return None if isinstance(t, Var) else (t.functor, len(t.args))
+
+
+def _template(t, index: dict):
+    """t with each variable replaced by its index in the clause: ground
+    subterms stay as they are, other compounds become (functor, args)."""
+    if isinstance(t, Var):
+        return index[t]
+    if is_ground(t):
+        return t
+    return (t.functor, tuple(_template(a, index) for a in t.args))
+
+
+def _instantiate(tpl, fresh: list):
+    if tpl.__class__ is int:
+        return fresh[tpl]
+    if tpl.__class__ is tuple:
+        return Compound(tpl[0], tuple([_instantiate(a, fresh) for a in tpl[1]]))
+    return tpl
+
+
+def _occurrences(t) -> list:
+    """Every variable occurrence in t, repeats included."""
+    out, todo = [], [t]
+    while todo:
+        u = todo.pop()
+        if isinstance(u, Var):
+            out.append(u)
+        else:
+            todo.extend(u.args)
+    return out
+
+
+def _compile(c: Clause) -> _Compiled:
+    seen: set = set()
+    first = []
+    for t in c.head.args:
+        occ = _occurrences(t)
+        first.append(len(set(occ)) == len(occ) and seen.isdisjoint(occ))
+        seen.update(occ)
     vs = clause_vars(c)
-    if not vs:
-        return c
-    n = next(counter)
-    ren = {v: Var(f"{v.name}@{n}") for v in vs}
-    def sub(a: Atom) -> Atom:
-        from .terms import apply_subst_atom
-        return apply_subst_atom(ren, a)
-    return Clause(sub(c.head), tuple(sub(b) for b in c.body))
+    index = {v: i for i, v in enumerate(vs)}
+    return _Compiled(
+        clause=c,
+        names=tuple(v.name for v in vs),
+        head=tuple(_template(t, index) for t in c.head.args),
+        body=tuple((b.pred, tuple(_template(t, index) for t in b.args)) for b in c.body),
+        checks=tuple((i, _principal(t)) for i, t in enumerate(c.head.args)
+                     if not isinstance(t, Var)),
+        first_occurrence=tuple(first),
+    )
+
+
+def _candidates(clauses, goal: Atom, bindings: dict) -> list:
+    """The clauses whose head may unify with goal: each compound head
+    argument meets a goal argument that walks to a variable or to a
+    compound with the same principal functor."""
+    keys = [_principal(walk(t, bindings)) for t in goal.args]
+    return [c for c in clauses
+            if all(keys[i] is None or keys[i] == key for i, key in c.checks)]
+
+
+# --- the machine --------------------------------------------------------------
+
+class _Frame:
+    __slots__ = ("goals", "steps", "index", "goal", "clauses", "next", "mark")
+
+    def __init__(self, goals, steps, index, clauses, mark):
+        self.goals = goals
+        self.steps = steps
+        self.index = index  # position of the selected goal
+        self.goal = goals[index]
+        self.clauses = clauses  # compiled candidates for the selected goal
+        self.next = 0  # index in clauses of the next one to try
+        self.mark = mark  # trail length when the frame was pushed
+
+
+def _run(program: Program, query: Query, opts: SolveOptions,
+         trace: Optional[list] = None) -> Iterator[Union[Answer, SearchTruncated]]:
+    """Answers of every successful branch, then SearchTruncated if the depth
+    limit cut any branch. If trace is a list, it holds one TraceStep per
+    frame of the current branch whenever an Answer is yielded."""
+    compiled: dict = {}
+    for c in program.clauses:
+        compiled.setdefault(c.head.pred, []).append(_compile(c))
+    qvars = query_vars(query)
+    bindings: dict = {}
+    trail: list = []
+    stack: list = []
+    renamings = 0
+    cut = 0
+    goals, steps = query.atoms, 0  # a new resolvent, or None when backtracking
+    while True:
+        if goals is not None:
+            if not goals:
+                yield _answer(query, qvars, bindings)
+            elif opts.depth_limit is not None and steps >= opts.depth_limit:
+                cut += 1
+            else:
+                idx = _select(opts.selection_rule, len(goals), steps)
+                cands = _candidates(compiled.get(goals[idx].pred, ()), goals[idx], bindings)
+                stack.append(_Frame(goals, steps, idx, cands, len(trail)))
+            goals = None
+        if not stack:
+            break
+        frame = stack[-1]
+        undo_trail(bindings, trail, frame.mark)
+        if frame.next == len(frame.clauses):
+            stack.pop()
+            continue
+        cc = frame.clauses[frame.next]
+        frame.next += 1
+        renamings += 1
+        suffix = f"@{renamings}"
+        fresh = [Var(name + suffix) for name in cc.names]
+        head = Atom(cc.clause.head.pred, tuple([_instantiate(t, fresh) for t in cc.head]))
+        if not try_unify_atoms(frame.goal, head, bindings, trail, opts.occur_check,
+                               cc.first_occurrence):
+            continue
+        body = tuple(Atom(pred, tuple([_instantiate(t, fresh) for t in args]))
+                     for pred, args in cc.body)
+        if trace is not None:
+            del trace[len(stack) - 1:]
+            unifier = tuple(sorted(((v, resolve(v, bindings)) for v in trail[frame.mark:]),
+                                   key=lambda p: p[0].name))
+            snapshot = Query(tuple(resolve_atom(a, bindings) for a in frame.goals))
+            trace.append(TraceStep(snapshot, cc.clause, unifier))
+        goals = frame.goals[:frame.index] + body + frame.goals[frame.index + 1:]
+        steps = frame.steps + 1
+    if cut:
+        yield SearchTruncated(cut)
 
 
 def solve(program: Program, query: Query, opts: SolveOptions = SolveOptions()
           ) -> Iterator[Union[Answer, SearchTruncated]]:
     """Stream of computed answers for query; ends with a SearchTruncated
-    marker if any branch was cut by the depth limit."""
+    marker if any branch was cut by the depth limit (and the answer limit,
+    if any, was not reached first)."""
     if not query.atoms:
         raise ValueError("query must be non-empty")
     declared = program.predicates()
@@ -112,48 +282,13 @@ def solve(program: Program, query: Query, opts: SolveOptions = SolveOptions()
             raise ValueError(f"undeclared predicate {a.pred}/{len(a.args)}")
         if declared[a.pred] != len(a.args):
             raise ValueError(f"arity mismatch for {a.pred}")
-
-    qvars = query_vars(query)
-    bindings: dict = {}
-    trail: list = []
-    counter = itertools.count(1)
-    truncated = 0
     emitted = 0
-    clause_index = {p: program.clauses_for(p) for p in declared}
-
-    def answers(goals: tuple, steps: int) -> Iterator[Answer]:
-        nonlocal truncated
-        if not goals:
-            inst = Query(tuple(resolve_atom(a, bindings) for a in query.atoms))
-            ren = _canonical_renaming(inst, qvars)
-            inst = Query(tuple(apply_subst_atom(ren, a) for a in inst.atoms))
-            subst = tuple(
-                (v, apply_subst(ren, resolve(v, bindings)))
-                for v in qvars
-                if resolve(v, bindings) != v
-            )
-            yield Answer(subst, inst)
-            return
-        if opts.depth_limit is not None and steps >= opts.depth_limit:
-            truncated += 1
-            return
-        idx = _select(opts.selection_rule, len(goals), steps)
-        goal = goals[idx]
-        for clause in clause_index.get(goal.pred, ()):
-            renamed = _rename_clause(clause, counter)
-            mark = len(trail)
-            if try_unify_atoms(goal, renamed.head, bindings, trail, opts.occur_check):
-                new_goals = goals[:idx] + renamed.body + goals[idx + 1:]
-                yield from answers(new_goals, steps + 1)
-            undo_trail(bindings, trail, mark)
-
-    for ans in answers(tuple(query.atoms), 0):
-        yield ans
-        emitted += 1
-        if opts.answer_limit is not None and emitted >= opts.answer_limit:
-            return
-    if truncated:
-        yield SearchTruncated(truncated)
+    for item in _run(program, query, opts):
+        yield item
+        if isinstance(item, Answer):
+            emitted += 1
+            if opts.answer_limit is not None and emitted >= opts.answer_limit:
+                return
 
 
 def solve_answers(program: Program, query: Query,
@@ -168,34 +303,8 @@ def derivation_trace(program: Program, query: Query,
     or None if the query has no answer within the options' limits."""
     if not query.atoms:
         raise ValueError("query must be non-empty")
-    bindings: dict = {}
-    trail: list = []
-    counter = itertools.count(1)
-
-    def search(goals: tuple, steps: int, acc: list) -> Optional[list]:
-        if not goals:
-            return acc
-        if opts.depth_limit is not None and steps >= opts.depth_limit:
-            return None
-        idx = _select(opts.selection_rule, len(goals), steps)
-        goal = goals[idx]
-        for clause in program.clauses_for(goal.pred):
-            renamed = _rename_clause(clause, counter)
-            mark = len(trail)
-            if try_unify_atoms(goal, renamed.head, bindings, trail, opts.occur_check):
-                unifier = tuple(
-                    sorted(
-                        ((v, resolve(v, bindings)) for v in trail[mark:]),
-                        key=lambda p: p[0].name,
-                    )
-                )
-                snapshot = Query(tuple(resolve_atom(a, bindings) for a in goals))
-                step = TraceStep(snapshot, clause, unifier)
-                new_goals = goals[:idx] + renamed.body + goals[idx + 1:]
-                found = search(new_goals, steps + 1, acc + [step])
-                if found is not None:
-                    return found
-            undo_trail(bindings, trail, mark)
-        return None
-
-    return search(tuple(query.atoms), 0, [])
+    steps: list = []
+    for item in _run(program, query, opts, steps):
+        if isinstance(item, Answer):
+            return steps
+    return None

@@ -6,6 +6,16 @@ and `mgu`/`unify_atoms` which return idempotent substitutions.
 With occur_check=False the per-binding occurs scan is skipped, but a cyclic
 binding set is still rejected after the fact: this artifact never builds
 rational trees, so both modes agree on every solvable problem.
+
+`try_unify_atoms` and `unify_terms` also take a first-occurrence flag, the
+caller's certificate that a term of the second side is linear and shares
+no variable with the first side under the current bindings. By the NSTO
+lemma (Apt and Pellegrini 1994) such a unification never reaches an
+occurs test, so it runs without the scan; with the check off, it closes
+no cycle, so the cyclic rescan may skip the certified arguments in front
+of the first uncertified one. The engine certifies renamed clause heads
+this way; `mgu`, `unify_atoms` and `match_atom` pass no flag and keep the
+full check.
 """
 
 from dataclasses import dataclass
@@ -32,25 +42,35 @@ def occurs(v: Var, t: Term, bindings: dict) -> bool:
     stack = [t]
     while stack:
         u = walk(stack.pop(), bindings)
-        if u == v:
-            return True
-        if isinstance(u, Compound):
+        if isinstance(u, Var):
+            if u == v:
+                return True
+        else:
             stack.extend(u.args)
     return False
 
 
 def unify_terms(t1: Term, t2: Term, bindings: dict, trail: list,
-                occur_check: bool = True) -> bool:
+                occur_check: bool = True, first_occurrence: bool = False) -> bool:
     """Extend bindings to unify t1 and t2; on failure, bindings may hold
-    partial work that the caller must undo via the trail."""
+    partial work that the caller must undo via the trail.
+
+    first_occurrence=True certifies that t2 is linear and shares no
+    variable with t1 under bindings; the occurs scan is then skipped."""
+    # Without the check, earlier bindings may be cyclic; remembering the
+    # compound pairs already taken apart keeps the loop finite on them.
+    seen = None if occur_check or first_occurrence else set()
+    occur_check = occur_check and not first_occurrence
     stack = [(t1, t2)]
     while stack:
         a, b = stack.pop()
         a = walk(a, bindings)
         b = walk(b, bindings)
-        if a == b:
+        if a is b:
             continue
         if isinstance(a, Var):
+            if isinstance(b, Var) and a == b:
+                continue
             if occur_check and occurs(a, b, bindings):
                 return False
             bindings[a] = b
@@ -60,12 +80,16 @@ def unify_terms(t1: Term, t2: Term, bindings: dict, trail: list,
                 return False
             bindings[b] = a
             trail.append(b)
+        elif a.functor != b.functor or len(a.args) != len(b.args):
+            return False
         else:
-            if a.functor != b.functor or len(a.args) != len(b.args):
-                return False
+            if seen is not None:
+                pair = (id(a), id(b))
+                if pair in seen:
+                    continue
+                seen.add(pair)
             # push reversed so argument pairs are processed left to right
-            for pair in zip(reversed(a.args), reversed(b.args)):
-                stack.append(pair)
+            stack.extend(zip(reversed(a.args), reversed(b.args)))
     return True
 
 
@@ -97,17 +121,28 @@ def bindings_cyclic(bindings: dict, roots) -> bool:
 
 
 def try_unify_atoms(a1: Atom, a2: Atom, bindings: dict, trail: list,
-                    occur_check: bool = True) -> bool:
+                    occur_check: bool = True, first_occurrence: tuple = ()) -> bool:
     """In-place atom unification honoring the occur-check mode; undoes its
-    own work on failure."""
+    own work on failure.
+
+    first_occurrence[i] true certifies that a2's i-th argument is linear and
+    that none of its variables occurs in a1, in a2's earlier arguments or in
+    bindings: the argument is unified with no occurs scan. With the check
+    off, the cyclic rescan starts at the bindings of the first argument
+    without the flag, since a cycle needs a binding made from there on."""
     if a1.pred != a2.pred or len(a1.args) != len(a2.args):
         return False
     mark = len(trail)
-    for x, y in zip(a1.args, a2.args):
-        if not unify_terms(x, y, bindings, trail, occur_check):
+    rescan = None  # trail position of the first argument without the flag
+    for i, (x, y) in enumerate(zip(a1.args, a2.args)):
+        certified = i < len(first_occurrence) and first_occurrence[i]
+        if rescan is None and not certified:
+            rescan = len(trail)
+        if not unify_terms(x, y, bindings, trail, occur_check, certified):
             undo_trail(bindings, trail, mark)
             return False
-    if not occur_check and bindings_cyclic(bindings, trail[mark:]):
+    if (not occur_check and rescan is not None
+            and bindings_cyclic(bindings, trail[rescan:])):
         undo_trail(bindings, trail, mark)
         return False
     return True

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from queenscheck.cli import EXIT_CAPPED, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from queenscheck.cli import EXIT_CAPPED, EXIT_FAIL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 from queenscheck.parser import parse_term
 from queenscheck.queens import NQUEENS_SOURCE
 
@@ -13,6 +13,13 @@ from queenscheck.queens import NQUEENS_SOURCE
 def prog_file(tmp_path):
     f = tmp_path / "board.pl"
     f.write_text(NQUEENS_SOURCE)
+    return str(f)
+
+
+@pytest.fixture
+def len_file(tmp_path):
+    f = tmp_path / "len.pl"
+    f.write_text("len([], 0).\nlen([_|T], s(N)) :- len(T, N).\n")
     return str(f)
 
 
@@ -146,3 +153,18 @@ def test_signature_file(capsys, tmp_path, prog_file):
     code, out, _ = run(capsys, "query", prog_file, "pqs(0,A,B,C)",
                        "--signature", str(sig))
     assert code == EXIT_OK
+
+
+def test_query_long_derivation(capsys, len_file):
+    # 331 resolution steps: more than the Python stack held when the engine
+    # recursed once per step
+    code, out, _ = run(capsys, "query", len_file, "len(L,330)")
+    assert code == EXIT_OK
+    assert out.splitlines()[-1] == "1 answers"
+
+
+def test_query_resource_exhaustion_exit(capsys, len_file):
+    # the term walkers still recurse, so a 5000-deep numeral exhausts the stack
+    code, out, err = run(capsys, "query", len_file, "len(L,5000)")
+    assert code == EXIT_RESOURCE
+    assert err.startswith("error: ") and "Traceback" not in err

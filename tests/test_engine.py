@@ -1,6 +1,7 @@
 """Resolution engine: answers, selection rules, depth limits, traces."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from queenscheck.engine import (
     Answer,
@@ -13,13 +14,18 @@ from queenscheck.engine import (
 from queenscheck.parser import parse_program, parse_query, parse_term
 from queenscheck.queens import initial_query, nqueens_program
 from queenscheck.terms import (
+    Atom,
+    Clause,
+    Compound,
+    Program,
+    Query,
     Var,
     apply_subst,
     atom_vars,
     format_query,
     format_term,
 )
-from queenscheck.unify import match_atom, mgu
+from queenscheck.unify import match_atom, mgu, unify_atoms
 
 
 def test_zero_row_query_single_answer_unbound():
@@ -130,3 +136,142 @@ def test_trace_n1_finite_and_steps_sound():
 def test_trace_none_when_no_answer():
     p = parse_program("p(a).")
     assert derivation_trace(p, parse_query("p(b)")) is None
+
+
+# --- the occur-check path -------------------------------------------------------
+
+@pytest.mark.parametrize("source, query", [
+    ("eq(X, X).", "eq(Y, f(Y))"),
+    # a cycle across arguments
+    ("p(X, f(X)).", "p(Y, Y)"),
+    # the first argument is linear and new, the second repeats X
+    ("p(f(X), X).", "p(Y, Y)"),
+    # a repeat inside one argument
+    ("p(g(X, X)).", "p(g(Y, f(Y)))"),
+    # cyclic after the second argument; unifying the last two must still end
+    ("p(A, f(A), B, f(B), C, C).", "p(X, X, Y, Y, X, Y)"),
+])
+@pytest.mark.parametrize("occur_check", [True, False])
+def test_occurs_failures_give_no_answer(source, query, occur_check):
+    answers = solve_answers(parse_program(source), parse_query(query),
+                            SolveOptions(occur_check=occur_check))
+    assert answers == []
+
+
+@pytest.mark.parametrize("occur_check", [True, False])
+def test_linear_head_against_nonlinear_goal(occur_check):
+    answers = solve_answers(parse_program("r(A, B)."), parse_query("r(Y, f(Y))"),
+                            SolveOptions(occur_check=occur_check))
+    assert [format_query(a.instantiated_query) for a in answers] == ["r(_G1,f(_G1))"]
+
+
+def _terms(names, depth=3):
+    """Terms over the named variables, f/1, g/2 and a, nested at most depth deep."""
+    leaf = st.sampled_from([Var(n) for n in names] + [Compound("a")])
+    if depth == 0:
+        return leaf
+    sub = _terms(names, depth - 1)
+    return st.one_of(leaf,
+                     st.builds(lambda t: Compound("f", (t,)), sub),
+                     st.builds(lambda t, u: Compound("g", (t, u)), sub, sub))
+
+
+@st.composite
+def _head_and_goal(draw):
+    k = draw(st.integers(1, 3))
+    head = Atom("p", tuple(draw(st.lists(_terms("ABC"), min_size=k, max_size=k))))
+    goal = Atom("p", tuple(draw(st.lists(_terms("XYZ"), min_size=k, max_size=k))))
+    return head, goal
+
+
+@settings(max_examples=300, deadline=None)
+@given(_head_and_goal())
+def test_one_clause_program_agrees_with_unify_atoms(case):
+    # unify_atoms keeps the full occurs scan, so it is the reference for the
+    # engine's pre-check, first-occurrence flags and cyclic rescan
+    head, goal = case
+    expected = 0 if unify_atoms(goal, head) is None else 1
+    program = Program((Clause(head),))
+    for occur_check in (True, False):
+        answers = solve_answers(program, Query((goal,)), SolveOptions(occur_check=occur_check))
+        assert len(answers) == expected
+
+
+# --- golden streams -------------------------------------------------------------
+
+# Ordered answers of the size-5 initial query, recorded from the recursive
+# engine this machine replaced; both occur-check modes give the same stream.
+GOLDEN_5 = {
+    "leftmost": [
+        "pqs(5,[1,4,2,5,3],[4,_G1,3,5|_G2],[_G3,_G4,_G5,4,5,1,2,3|_G6])",
+        "pqs(5,[1,3,5,2,4],[2,_G1,5,4|_G2],[_G3,_G4,_G5,5,3,1,4,2|_G6])",
+        "pqs(5,[3,1,4,2,5],[2,4,_G1,_G2,5|_G3],[_G4,_G5,_G6,3,4,5,1,2|_G7])",
+        "pqs(5,[4,1,3,5,2],[3,2,_G1,5|_G2],[_G3,_G4,4,_G5,5,3,1,_G6,2|_G7])",
+        "pqs(5,[2,4,1,3,5],[4,3,_G1,_G2,5|_G3],[_G4,_G5,_G6,4,2,5,3,1|_G7])",
+        "pqs(5,[5,3,1,4,2],[5,2,4|_G1],[_G2,5,_G3,_G4,3,4,_G5,1,2|_G6])",
+        "pqs(5,[2,5,3,1,4],[3,5,_G1,4|_G2],[_G3,_G4,5,_G5,2,3,4,_G6,1|_G7])",
+        "pqs(5,[5,2,4,1,3],[5,4,3|_G1],[_G2,5,_G3,_G4,4,2,_G5,3,1|_G6])",
+        "pqs(5,[4,2,5,3,1],[1,3,5|_G1],[_G2,_G3,4,5,_G4,2,3,_G5,_G6,1|_G7])",
+        "pqs(5,[3,5,2,4,1],[1,5,4|_G1],[_G2,_G3,5,3,_G4,4,2,_G5,_G6,1|_G7])",
+    ],
+    "rightmost": [
+        "pqs(5,[5,2,4,1,3],[5,4,3|_G1],[_G2,5,_G3,_G4,4,2,_G5,3,1|_G6])",
+        "pqs(5,[5,3,1,4,2],[5,2,4|_G1],[_G2,5,_G3,_G4,3,4,_G5,1,2|_G6])",
+        "pqs(5,[3,5,2,4,1],[1,5,4|_G1],[_G2,_G3,5,3,_G4,4,2,_G5,_G6,1|_G7])",
+        "pqs(5,[2,5,3,1,4],[3,5,_G1,4|_G2],[_G3,_G4,5,_G5,2,3,4,_G6,1|_G7])",
+        "pqs(5,[4,2,5,3,1],[1,3,5|_G1],[_G2,_G3,4,5,_G4,2,3,_G5,_G6,1|_G7])",
+        "pqs(5,[1,3,5,2,4],[2,_G1,5,4|_G2],[_G3,_G4,_G5,5,3,1,4,2|_G6])",
+        "pqs(5,[4,1,3,5,2],[3,2,_G1,5|_G2],[_G3,_G4,4,_G5,5,3,1,_G6,2|_G7])",
+        "pqs(5,[1,4,2,5,3],[4,_G1,3,5|_G2],[_G3,_G4,_G5,4,5,1,2,3|_G6])",
+        "pqs(5,[2,4,1,3,5],[4,3,_G1,_G2,5|_G3],[_G4,_G5,_G6,4,2,5,3,1|_G7])",
+        "pqs(5,[3,1,4,2,5],[2,4,_G1,_G2,5|_G3],[_G4,_G5,_G6,3,4,5,1,2|_G7])",
+    ],
+    "fair_round_robin": [
+        "pqs(5,[5,2,4,1,3],[5,4,3|_G1],[_G2,5,_G3,_G4,4,2,_G5,3,1|_G6])",
+        "pqs(5,[5,3,1,4,2],[5,2,4|_G1],[_G2,5,_G3,_G4,3,4,_G5,1,2|_G6])",
+        "pqs(5,[3,5,2,4,1],[1,5,4|_G1],[_G2,_G3,5,3,_G4,4,2,_G5,_G6,1|_G7])",
+        "pqs(5,[3,1,4,2,5],[2,4,_G1,_G2,5|_G3],[_G4,_G5,_G6,3,4,5,1,2|_G7])",
+        "pqs(5,[4,2,5,3,1],[1,3,5|_G1],[_G2,_G3,4,5,_G4,2,3,_G5,_G6,1|_G7])",
+        "pqs(5,[4,1,3,5,2],[3,2,_G1,5|_G2],[_G3,_G4,4,_G5,5,3,1,_G6,2|_G7])",
+        "pqs(5,[2,5,3,1,4],[3,5,_G1,4|_G2],[_G3,_G4,5,_G5,2,3,4,_G6,1|_G7])",
+        "pqs(5,[1,3,5,2,4],[2,_G1,5,4|_G2],[_G3,_G4,_G5,5,3,1,4,2|_G6])",
+        "pqs(5,[1,4,2,5,3],[4,_G1,3,5|_G2],[_G3,_G4,_G5,4,5,1,2,3|_G6])",
+        "pqs(5,[2,4,1,3,5],[4,3,_G1,_G2,5|_G3],[_G4,_G5,_G6,4,2,5,3,1|_G7])",
+    ],
+}
+
+
+@pytest.mark.parametrize("rule", sorted(GOLDEN_5))
+@pytest.mark.parametrize("occur_check", [True, False])
+def test_answer_stream_order(rule, occur_check):
+    answers = solve_answers(nqueens_program(), initial_query(5),
+                            SolveOptions(selection_rule=rule, occur_check=occur_check))
+    assert [format_query(a.instantiated_query) for a in answers] == GOLDEN_5[rule]
+
+
+def test_branches_cut_counts():
+    nrev = parse_program(
+        "app([], L, L). app([H|T], L, [H|R]) :- app(T, L, R)."
+        " nrev([], []). nrev([H|T], R) :- nrev(T, RT), app(RT, [H], R).")
+    items = list(solve(nrev, parse_query("nrev(X,Y)"), SolveOptions(depth_limit=6)))
+    assert [format_query(i.instantiated_query) for i in items[:-1]] == [
+        "nrev([],[])", "nrev([_G1],[_G1])", "nrev([_G1,_G2],[_G2,_G1])"]
+    assert items[-1] == SearchTruncated(4)
+    items = list(solve(nqueens_program(), initial_query(4), SolveOptions(depth_limit=5)))
+    assert items == [SearchTruncated(1)]
+
+
+def test_answer_limit_drops_the_truncation_marker():
+    p = parse_program("p(a). p(b). p(X) :- p(X).")
+    items = list(solve(p, parse_query("p(X)"), SolveOptions(depth_limit=3, answer_limit=2)))
+    assert len(items) == 2 and all(isinstance(i, Answer) for i in items)
+    items = list(solve(p, parse_query("p(X)"), SolveOptions(depth_limit=3)))
+    assert items[-1] == SearchTruncated(1) and len(items) == 7
+
+
+def test_long_derivation_does_not_recurse():
+    p = parse_program("len([], 0). len([_|T], s(N)) :- len(T, N).")
+    (ans,) = solve_answers(p, parse_query("len(L, 330)"))
+    assert format_query(ans.instantiated_query).count(",") == 330
+    trace = derivation_trace(p, parse_query("len(L, 330)"))
+    assert len(trace) == 331

@@ -105,6 +105,15 @@ def test_occur_check_modes_agree(t1, t2):
     assert (with_check is None) == (without is None)
 
 
+def test_occur_check_off_ends_on_cyclic_bindings():
+    # the second argument binds B to f(...B...); unifying the third then
+    # walks two cyclic terms, which must end (and be rejected) in both modes
+    t1 = parse_term("p(g(C,B),B,B)")
+    t2 = parse_term("p(Z,f(g(g(Z,Z),f(Z))),f(Z))")
+    assert mgu(t1, t2) is None
+    assert mgu(t1, t2, UnifyOptions(occur_check=False)) is None
+
+
 def test_match_term_one_way():
     assert match_term(cons(X, Y), make_list([a])) == {X: a, Y: NIL}
     assert match_term(cons(X, X), cons(a, a)) == {X: a}
