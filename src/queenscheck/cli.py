@@ -3,7 +3,7 @@
 Exit codes: 0 success/all checks pass, 1 check failure, 2 usage or parse
 error, 3 a check was resource-capped (and none failed), 4 the run ran out
 of Python stack or memory. Output is deterministic byte-for-byte for a
-fixed command line.
+fixed command line, whatever PYTHONHASHSEED is.
 """
 
 import argparse

@@ -33,15 +33,14 @@ from typing import Iterator, Optional, Union
 from .terms import (
     Atom,
     Clause,
-    Compound,
     Program,
     Query,
     Substitution,
     Var,
     apply_subst,
     apply_subst_atom,
-    clause_vars,
-    is_ground,
+    clause_template,
+    instantiate_atom,
     query_vars,
 )
 from .unify import resolve, resolve_atom, try_unify_atoms, undo_trail, walk
@@ -128,8 +127,8 @@ def _answer(query: Query, qvars, bindings: dict) -> Answer:
 class _Compiled:
     clause: Clause
     names: tuple  # variable names, in order of first occurrence
-    head: tuple  # a template per head argument
-    body: tuple  # (pred, argument templates) per body atom
+    head: tuple  # atom template of the head (see terms.clause_template)
+    body: tuple  # atom template per body atom
     checks: tuple  # (argument index, principal functor) of each compound head argument
     first_occurrence: tuple  # per head argument: linear, and all its variables new
 
@@ -137,24 +136,6 @@ class _Compiled:
 def _principal(t):
     """(functor, arity) of a compound, None for a variable."""
     return None if isinstance(t, Var) else (t.functor, len(t.args))
-
-
-def _template(t, index: dict):
-    """t with each variable replaced by its index in the clause: ground
-    subterms stay as they are, other compounds become (functor, args)."""
-    if isinstance(t, Var):
-        return index[t]
-    if is_ground(t):
-        return t
-    return (t.functor, tuple(_template(a, index) for a in t.args))
-
-
-def _instantiate(tpl, fresh: list):
-    if tpl.__class__ is int:
-        return fresh[tpl]
-    if tpl.__class__ is tuple:
-        return Compound(tpl[0], tuple([_instantiate(a, fresh) for a in tpl[1]]))
-    return tpl
 
 
 def _occurrences(t) -> list:
@@ -176,13 +157,12 @@ def _compile(c: Clause) -> _Compiled:
         occ = _occurrences(t)
         first.append(len(set(occ)) == len(occ) and seen.isdisjoint(occ))
         seen.update(occ)
-    vs = clause_vars(c)
-    index = {v: i for i, v in enumerate(vs)}
+    vs, head, body = clause_template(c)
     return _Compiled(
         clause=c,
         names=tuple(v.name for v in vs),
-        head=tuple(_template(t, index) for t in c.head.args),
-        body=tuple((b.pred, tuple(_template(t, index) for t in b.args)) for b in c.body),
+        head=head,
+        body=body,
         checks=tuple((i, _principal(t)) for i, t in enumerate(c.head.args)
                      if not isinstance(t, Var)),
         first_occurrence=tuple(first),
@@ -251,12 +231,11 @@ def _run(program: Program, query: Query, opts: SolveOptions,
         renamings += 1
         suffix = f"@{renamings}"
         fresh = [Var(name + suffix) for name in cc.names]
-        head = Atom(cc.clause.head.pred, tuple([_instantiate(t, fresh) for t in cc.head]))
+        head = instantiate_atom(cc.head, fresh)
         if not try_unify_atoms(frame.goal, head, bindings, trail, opts.occur_check,
                                cc.first_occurrence):
             continue
-        body = tuple(Atom(pred, tuple([_instantiate(t, fresh) for t in args]))
-                     for pred, args in cc.body)
+        body = tuple([instantiate_atom(b, fresh) for b in cc.body])
         if trace is not None:
             del trace[len(stack) - 1:]
             unifier = tuple(sorted(((v, resolve(v, bindings)) for v in trail[frame.mark:]),

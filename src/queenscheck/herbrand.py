@@ -20,12 +20,17 @@ from .terms import (
     Program,
     Signature,
     Term,
-    apply_subst,
+    Var,
     apply_subst_atom,
     atom_depth,
     atom_is_ground,
+    atom_vars,
+    clause_template,
     clause_vars,
     format_atom,
+    format_term,
+    instantiate_atom,
+    is_ground,
     numeral,
     term_depth,
 )
@@ -81,7 +86,6 @@ def _var_budgets(c: Clause, max_depth: int) -> Optional[dict]:
     budgets: dict = {}
 
     def visit(t: Term, at: int):
-        from .terms import Var
         if isinstance(t, Var):
             budgets[t] = min(budgets.get(t, max_depth), max_depth - at)
         else:
@@ -99,13 +103,36 @@ def _var_budgets(c: Clause, max_depth: int) -> Optional[dict]:
 
 
 def atom_depth_skeleton(a: Atom) -> int:
-    """Depth contributed by the non-variable skeleton alone."""
-    def d(t: Term) -> int:
-        from .terms import Var
-        if isinstance(t, Var) or not t.args:
-            return 0
-        return 1 + max(d(x) for x in t.args)
-    return max((d(t) for t in a.args), default=0)
+    """Depth contributed by the non-variable skeleton alone (term_depth
+    counts a variable as 0)."""
+    return atom_depth(a)
+
+
+def depth_profile(a: Atom, index: dict) -> tuple:
+    """(skeleton depth of a, ((slot, nesting), ...)): the deepest nesting of
+    each variable of a, that is the number of compounds around it; index
+    maps each variable to its slot."""
+    nesting: dict = {}
+    todo = [(t, 0) for t in a.args]
+    while todo:
+        t, at = todo.pop()
+        if isinstance(t, Var):
+            nesting[index[t]] = max(nesting.get(index[t], 0), at)
+        else:
+            todo.extend((x, at + 1) for x in t.args)
+    return atom_depth_skeleton(a), tuple(sorted(nesting.items()))
+
+
+def bound_depth(profile: tuple, slots) -> int:
+    """atom_depth_skeleton of the profiled atom with each slot that is not
+    None filled in: a variable at nesting n bound to a ground term u
+    reaches depth n + term_depth(u)."""
+    depth, nesting = profile
+    for i, n in nesting:
+        u = slots[i]
+        if u is not None:
+            depth = max(depth, n + term_depth(u))
+    return depth
 
 
 def enumerate_ground_instances(c: Clause, sig: Signature, max_depth: int
@@ -134,23 +161,21 @@ def enumerate_ground_instances(c: Clause, sig: Signature, max_depth: int
 # --- immediate consequence -----------------------------------------------------
 
 def _join_body(body, subst, indices) -> Iterator[dict]:
-    """Substitutions grounding all body atoms; body atom k is matched
-    against the fact index indices[k]."""
+    """Substitutions grounding all body atoms; body holds (atom, its
+    variables) pairs, and body atom k is matched against the fact index
+    indices[k]."""
     if not body:
         yield subst
         return
-    first, rest = body[0], body[1:]
-    pattern = apply_subst_atom(subst, first)
-    if atom_is_ground(pattern):
-        if pattern in indices[0].get(pattern.pred, ()):
+    (first, first_vars), rest = body[0], body[1:]
+    if all(v in subst for v in first_vars):
+        if apply_subst_atom(subst, first) in indices[0].get(first.pred, ()):
             yield from _join_body(rest, subst, indices[1:])
         return
-    for fact in indices[0].get(pattern.pred, ()):
-        ext = match_atom(pattern, fact, None)
+    for fact in indices[0].get(first.pred, ()):
+        ext = match_atom(first, fact, subst)
         if ext is not None:
-            merged = dict(subst)
-            merged.update(ext)
-            yield from _join_body(rest, merged, indices[1:])
+            yield from _join_body(rest, ext, indices[1:])
 
 
 def _index_by_pred(atoms: Iterable[Atom]) -> dict:
@@ -170,13 +195,14 @@ def tp_step(p: Program, s: Iterable[Atom], base: Iterable[Atom]) -> frozenset:
     facts = _index_by_pred(s)
     derived = set(s)
     for c in p.clauses:
+        body = tuple((b, atom_vars(b)) for b in c.body)
         for h in base:
             if h in derived:
                 continue
             sub = match_atom(c.head, h, None)
             if sub is None:
                 continue
-            for full in _join_body(c.body, sub, [facts] * len(c.body)):
+            for full in _join_body(body, sub, [facts] * len(c.body)):
                 inst = apply_subst_atom(full, c.head)
                 if atom_is_ground(inst):
                     derived.add(inst)
@@ -218,17 +244,32 @@ def tp_fixpoint(p: Program, sig: Signature, max_depth: int,
         pool = _default_pool(sig, max_depth)
     for t in pool:
         sig.check_term(t)
+        if not is_ground(t):
+            raise ValueError(f"pool term {format_term(t)} is not ground")
+    pool_depth = {t: term_depth(t) for t in pool}
+    deepest = max(pool_depth.values(), default=0)
+    compiled = []
+    for c in p.clauses:
+        vs, head, _ = clause_template(c)
+        index = {v: i for i, v in enumerate(vs)}
+        body = tuple((b, atom_vars(b)) for b in c.body)
+        compiled.append((body, vs, head, depth_profile(c.head, index)))
     derived: set = set()
     examined = 0
 
-    def fire(c: Clause, sub: dict, new: set):
+    def fire(vs, head, profile, sub: dict, new: set):
         nonlocal examined
-        head_pat = apply_subst_atom(sub, c.head)
-        # remaining free variables only deepen the head, so the skeleton
-        # depth is a lower bound and lets us skip hopeless filler products
-        if atom_depth_skeleton(head_pat) > max_depth:
+        slots = [sub.get(v) for v in vs]
+        # remaining free variables only deepen the head, so the depth with
+        # the bound ones filled in is a lower bound that lets us skip
+        # hopeless filler products
+        if bound_depth(profile, slots) > max_depth:
             return
-        free = [v for v in clause_vars(c) if v not in sub]
+        free = [i for i, u in enumerate(slots) if u is None]
+        # a free head variable at nesting n needs a pool term of depth at
+        # most max_depth - n; this is the depth test of the whole instance
+        limits = [(free.index(i), max_depth - n) for i, n in profile[1]
+                  if slots[i] is None and n + deepest > max_depth]
         for combo in product(pool, repeat=len(free)):
             examined += 1
             if len(derived) + len(new) > max_atoms or examined > max_atoms * 10:
@@ -237,20 +278,18 @@ def tp_fixpoint(p: Program, sig: Signature, max_depth: int,
                     partial=frozenset(derived | new),
                     examined=examined,
                 )
-            full = dict(sub)
-            full.update(zip(free, combo))
-            head = apply_subst_atom(full, c.head)
-            if not atom_is_ground(head):
+            if limits and any(pool_depth[combo[k]] > lim for k, lim in limits):
                 continue
-            if atom_depth(head) > max_depth:
-                continue
-            if head not in derived:
-                new.add(head)
+            for i, u in zip(free, combo):
+                slots[i] = u
+            atom = instantiate_atom(head, slots)
+            if atom not in derived:
+                new.add(atom)
 
     new: set = set()
-    for c in p.clauses:
-        if not c.body:
-            fire(c, {}, new)
+    for body, vs, head, profile in compiled:
+        if not body:
+            fire(vs, head, profile, {}, new)
     derived |= new
     last = new
     # semi-naive rounds: a body join must use at least one last-round atom
@@ -258,14 +297,14 @@ def tp_fixpoint(p: Program, sig: Signature, max_depth: int,
         full_idx = _index_by_pred(derived)
         new_idx = _index_by_pred(last)
         new = set()
-        for c in p.clauses:
-            if not c.body:
+        for body, vs, head, profile in compiled:
+            if not body:
                 continue
-            n = len(c.body)
+            n = len(body)
             for j in range(n):
                 indices = [new_idx if k == j else full_idx for k in range(n)]
-                for sub in _join_body(c.body, {}, indices):
-                    fire(c, sub, new)
+                for sub in _join_body(body, {}, indices):
+                    fire(vs, head, profile, sub, new)
         new -= derived
         derived |= new
         last = new

@@ -96,6 +96,7 @@ class Signature:
     """Declared function symbols with fixed arities."""
 
     symbols: frozenset  # of (name, arity)
+    arities: dict = field(init=False, repr=False, compare=False)  # name -> arity
 
     def __post_init__(self):
         if not isinstance(self.symbols, frozenset):
@@ -107,12 +108,10 @@ class Signature:
             arities[name] = arity
         if not any(a == 0 for a in arities.values()):
             raise SignatureError("signature has no constants: Herbrand universe empty")
+        object.__setattr__(self, "arities", arities)
 
     def arity(self, name: str) -> Optional[int]:
-        for n, a in self.symbols:
-            if n == name:
-                return a
-        return None
+        return self.arities.get(name)
 
     def constants(self):
         return tuple(sorted(n for n, a in self.symbols if a == 0))
@@ -314,6 +313,45 @@ def atom_depth(a: Atom) -> int:
     if not a.args:
         return 0
     return max(term_depth(t) for t in a.args)
+
+
+# --- compiled clauses -------------------------------------------------------
+
+def _template(t: Term, index: dict):
+    """t with each variable replaced by its slot index[v]: ground subterms
+    stay as they are, other compounds become (functor, args)."""
+    if isinstance(t, Var):
+        return index[t]
+    if is_ground(t):
+        return t
+    return (t.functor, tuple(_template(a, index) for a in t.args))
+
+
+def _instantiate(tpl, slots):
+    """A template that is not a slot (callers look slots up themselves)."""
+    if tpl.__class__ is tuple:
+        return Compound(tpl[0], tuple([slots[a] if a.__class__ is int else _instantiate(a, slots)
+                                       for a in tpl[1]]))
+    return tpl
+
+
+def clause_template(c: Clause) -> tuple:
+    """(variables, head template, body templates) of c, compiled once so
+    that each instance is built by `instantiate_atom` from a slot list:
+    slot i holds the term for the i-th variable in first-occurrence order."""
+    vs = clause_vars(c)
+    index = {v: i for i, v in enumerate(vs)}
+    head, *body = ((a.pred, tuple(_template(t, index) for t in a.args))
+                   for a in (c.head, *c.body))
+    return vs, head, tuple(body)
+
+
+def instantiate_atom(tpl: tuple, slots) -> Atom:
+    """The atom of an atom template with slot i filled by slots[i]; equal to
+    apply_subst_atom of the substitution mapping each variable to its slot."""
+    pred, args = tpl
+    return Atom(pred, tuple([slots[t] if t.__class__ is int else _instantiate(t, slots)
+                             for t in args]))
 
 
 # --- canonical printing -------------------------------------------------------

@@ -98,25 +98,46 @@ def undo_trail(bindings: dict, trail: list, mark: int):
         del bindings[trail.pop()]
 
 
+def _bound_children(t: Term, bindings: dict) -> list:
+    """(variable, binding) for each bound variable occurring in t."""
+    out, todo = [], [t]
+    while todo:
+        u = todo.pop()
+        if isinstance(u, Var):
+            b = bindings.get(u)
+            if b is not None:
+                out.append((u, b))
+        else:
+            todo.extend(u.args)
+    return out
+
+
 def bindings_cyclic(bindings: dict, roots) -> bool:
-    """True if following bindings from any root revisits a variable."""
+    """True if following bindings from any root revisits a variable.
+
+    One depth-first walk over the bound variables: a variable is on the
+    path while the bindings below it are explored and done afterwards, so
+    each binding is scanned at most once."""
+    on_path: dict = {}  # variable -> True while on the path, False once done
     for root in roots:
-        stack = [(bindings.get(root), {root})]
+        b = bindings.get(root)
+        if b is None or root in on_path:
+            continue
+        on_path[root] = True
+        stack = [(root, iter(_bound_children(b, bindings)))]
         while stack:
-            t, path = stack.pop()
-            if t is None:
-                continue
-            todo = [t]
-            while todo:
-                u = todo.pop()
-                if isinstance(u, Var):
-                    if u in path:
-                        return True
-                    b = bindings.get(u)
-                    if b is not None:
-                        stack.append((b, path | {u}))
-                else:
-                    todo.extend(u.args)
+            v, children = stack[-1]
+            for u, b in children:
+                state = on_path.get(u)
+                if state:
+                    return True
+                if state is None:
+                    on_path[u] = True
+                    stack.append((u, iter(_bound_children(b, bindings))))
+                    break
+            else:
+                stack.pop()
+                on_path[v] = False
     return False
 
 
@@ -188,10 +209,8 @@ def unify_atoms(a1: Atom, a2: Atom, opts: UnifyOptions = UnifyOptions()) -> Opti
     return _to_substitution(bindings, trail)
 
 
-def match_term(pattern: Term, ground: Term, subst: Optional[dict] = None) -> Optional[dict]:
-    """One-way matching: substitution over pattern variables making the
-    pattern equal to the (ground) target, extending subst if given."""
-    out = dict(subst) if subst else {}
+def _match_into(pattern: Term, ground: Term, out: dict) -> bool:
+    """Extend out in place so that pattern matches ground; False if it cannot."""
     stack = [(pattern, ground)]
     while stack:
         p, g = stack.pop()
@@ -200,12 +219,19 @@ def match_term(pattern: Term, ground: Term, subst: Optional[dict] = None) -> Opt
             if bound is None:
                 out[p] = g
             elif bound != g:
-                return None
+                return False
         else:
             if not isinstance(g, Compound) or p.functor != g.functor or len(p.args) != len(g.args):
-                return None
+                return False
             stack.extend(zip(p.args, g.args))
-    return out
+    return True
+
+
+def match_term(pattern: Term, ground: Term, subst: Optional[dict] = None) -> Optional[dict]:
+    """One-way matching: substitution over pattern variables making the
+    pattern equal to the (ground) target, extending subst if given."""
+    out = dict(subst) if subst else {}
+    return out if _match_into(pattern, ground, out) else None
 
 
 def match_atom(pattern: Atom, fact: Atom, subst: Optional[dict] = None) -> Optional[dict]:
@@ -213,8 +239,6 @@ def match_atom(pattern: Atom, fact: Atom, subst: Optional[dict] = None) -> Optio
         return None
     out = dict(subst) if subst else {}
     for p, g in zip(pattern.args, fact.args):
-        res = match_term(p, g, out)
-        if res is None:
+        if not _match_into(p, g, out):
             return None
-        out = res
     return out

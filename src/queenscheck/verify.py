@@ -46,20 +46,21 @@ from .terms import (
     Term,
     Var,
     apply_subst_atom,
-    atom_is_ground,
     atom_vars,
+    clause_template,
     clause_vars,
     NIL,
     cons,
     format_atom,
     format_clause,
     format_term,
+    instantiate_atom,
     make_list,
     members,
     numeral,
     term_depth,
 )
-from .unify import match_atom, unify_atoms
+from .unify import match_atom
 
 
 @dataclass
@@ -118,14 +119,16 @@ def report_record(r: CheckReport) -> dict:
 
 def _sample_index(spec: SpecSet, sig: Signature, depth: int,
                   limit: Optional[int] = None):
-    """Sampled slice of the spec set, deduplicated and indexed by predicate."""
+    """Sampled slice of the spec set, deduplicated and indexed by predicate;
+    each predicate's atoms stay in sampler order, so scans over them do not
+    depend on string hashing."""
     by_pred: dict = {}
     seen: set = set()
     for a in spec.sample(sig, depth):
         if a in seen:
             continue
         seen.add(a)
-        by_pred.setdefault(a.pred, set()).add(a)
+        by_pred.setdefault(a.pred, []).append(a)
         if limit is not None and len(seen) >= limit:
             break
     return by_pred, len(seen)
@@ -133,23 +136,21 @@ def _sample_index(spec: SpecSet, sig: Signature, depth: int,
 
 def _body_candidates(body, subst, by_pred, contains) -> Iterator[dict]:
     """Substitutions grounding the body with every atom inside the spec;
-    non-ground atoms are matched against the sampled slice, ground ones are
-    decided by the membership predicate directly."""
+    body holds (atom, its variables) pairs. Atoms with an unbound variable
+    are matched against the sampled slice, ground ones are decided by the
+    membership predicate directly."""
     if not body:
         yield subst
         return
-    first, rest = body[0], body[1:]
-    pattern = apply_subst_atom(subst, first)
-    if atom_is_ground(pattern):
-        if contains(pattern):
+    (first, first_vars), rest = body[0], body[1:]
+    if all(v in subst for v in first_vars):
+        if contains(apply_subst_atom(subst, first)):
             yield from _body_candidates(rest, subst, by_pred, contains)
         return
-    for fact in by_pred.get(pattern.pred, ()):
-        ext = match_atom(pattern, fact, None)
+    for fact in by_pred.get(first.pred, ()):
+        ext = match_atom(first, fact, subst)
         if ext is not None:
-            merged = dict(subst)
-            merged.update(ext)
-            yield from _body_candidates(rest, merged, by_pred, contains)
+            yield from _body_candidates(rest, ext, by_pred, contains)
 
 
 def _uniform_pools(c: Clause, sig: Signature, depth: int, budget: int):
@@ -201,6 +202,7 @@ def check_model(program: Program, spec: SpecSet,
         if share <= 0:
             report.capped = True
             break
+        vs, head_tpl, body_tpls = clause_template(c)
         if not c.body:
             got = _uniform_pools(c, sig, depth, share)
             if got is None:
@@ -209,10 +211,11 @@ def check_model(program: Program, spec: SpecSet,
                 continue
             pools, f = got
             report.parameters[f"clause_{ci}_scan"] = f"uniform depth {f}"
-            vs = clause_vars(c)
+            # the pools follow the clause's variables, so each combination
+            # is the slot list of one instance
             for combo in product(*pools):
                 report.instances_examined += 1
-                head = apply_subst_atom(dict(zip(vs, combo)), c.head)
+                head = instantiate_atom(head_tpl, combo)
                 if not spec.contains(head):
                     report.add_counterexample({
                         "clause": format_clause(c),
@@ -225,18 +228,20 @@ def check_model(program: Program, spec: SpecSet,
                 report.parameters["sampled_slice"] = n_sampled
             report.parameters[f"clause_{ci}_scan"] = "body-directed over sampled slice"
             capped = False
-            for sub in _body_candidates(c.body, {}, by_pred, spec.contains):
-                free = [v for v in clause_vars(c) if v not in sub]
+            body = tuple((b, atom_vars(b)) for b in c.body)
+            for sub in _body_candidates(body, {}, by_pred, spec.contains):
+                slots = [sub.get(v) for v in vs]
+                free = [i for i, t in enumerate(slots) if t is None]
                 for combo in product(fillers, repeat=len(free)):
                     report.instances_examined += 1
                     if report.instances_examined > max_instances:
                         capped = True
                         break
-                    full = dict(sub)
-                    full.update(zip(free, combo))
-                    head = apply_subst_atom(full, c.head)
+                    for i, t in zip(free, combo):
+                        slots[i] = t
+                    head = instantiate_atom(head_tpl, slots)
                     if not spec.contains(head):
-                        body_inst = tuple(apply_subst_atom(full, b) for b in c.body)
+                        body_inst = tuple(instantiate_atom(b, slots) for b in body_tpls)
                         report.add_counterexample({
                             "clause": format_clause(c),
                             "instance": format_clause(Clause(head, body_inst)),
@@ -256,22 +261,67 @@ class CoverWitness:
     instance: Clause
 
 
-def _subterms(t: Term, acc: set):
-    acc.add(t)
-    if isinstance(t, Compound):
-        for a in t.args:
-            _subterms(a, acc)
+def _coverer(program: Program, spec: SpecSet, sig: Signature, depth: int):
+    """check_covered for one program, spec and depth, with each clause
+    compiled once."""
+    compiled = []
+    for c in program.clauses:
+        vs, head_tpl, body_tpls = clause_template(c)
+        index = {v: i for i, v in enumerate(vs)}
+        body = tuple((tpl, [index[v] for v in atom_vars(b)])
+                     for tpl, b in zip(body_tpls, c.body))
+        compiled.append((c, vs, head_tpl, body))
+    extra = list(filler_terms(sig, 2)) + [numeral(n) for n in range(0, depth + 1)]
 
+    def pool_for(a: Atom) -> tuple:
+        pool: set = set()
+        todo = list(a.args)
+        while todo:
+            t = todo.pop()
+            if t not in pool:
+                pool.add(t)
+                todo.extend(t.args)
+        pool.update(extra)
+        return tuple(sorted(pool, key=format_term))
 
-def _cover_pool(a: Atom, sig: Signature, depth: int) -> tuple:
-    pool: set = set()
-    for t in a.args:
-        _subterms(t, pool)
-    for t in filler_terms(sig, 2):
-        pool.add(t)
-    for n in range(0, depth + 1):
-        pool.add(numeral(n))
-    return tuple(sorted(pool, key=format_term))
+    def cover(a: Atom) -> Optional[CoverWitness]:
+        pool = None  # built on first use: most atoms need no search
+
+        def ground_body(body, k: int, slots: list) -> bool:
+            """Fill the free slots of body atoms k.. so that each lies in the spec."""
+            nonlocal pool
+            if k == len(body):
+                return True
+            tpl, vars_k = body[k]
+            free = [i for i in vars_k if slots[i] is None]
+            if not free:
+                return (spec.contains(instantiate_atom(tpl, slots))
+                        and ground_body(body, k + 1, slots))
+            if pool is None:
+                pool = pool_for(a)
+            for combo in product(pool, repeat=len(free)):
+                for i, t in zip(free, combo):
+                    slots[i] = t
+                if (spec.contains(instantiate_atom(tpl, slots))
+                        and ground_body(body, k + 1, slots)):
+                    return True
+            for i in free:
+                slots[i] = None
+            return False
+
+        for c, vs, head_tpl, body in compiled:
+            # a is ground, so matching the head gives the unifier
+            theta = match_atom(c.head, a)
+            if theta is None:
+                continue
+            slots = [theta.get(v) for v in vs]
+            if ground_body(body, 0, slots):
+                return CoverWitness(c, Clause(instantiate_atom(head_tpl, slots),
+                                              tuple(instantiate_atom(b, slots)
+                                                    for b, _ in body)))
+        return None
+
+    return cover
 
 
 def check_covered(a: Atom, program: Program, spec: SpecSet,
@@ -280,41 +330,7 @@ def check_covered(a: Atom, program: Program, spec: SpecSet,
     """A ground instance of some clause whose head is `a` and whose body
     atoms all lie in the spec, or None. Free body variables are searched
     over the subterms of `a`, small numerals, and filler constants."""
-    pool = _cover_pool(a, sig, depth)
-
-    def ground_body(body, subst):
-        if not body:
-            return subst
-        pattern = apply_subst_atom(subst, body[0])
-        free = atom_vars(pattern)
-        if not free:
-            if spec.contains(pattern):
-                return ground_body(body[1:], subst)
-            return None
-        for combo in product(pool, repeat=len(free)):
-            ext = dict(subst)
-            ext.update(zip(free, combo))
-            inst = apply_subst_atom(ext, body[0])
-            if spec.contains(inst):
-                found = ground_body(body[1:], ext)
-                if found is not None:
-                    return found
-        return None
-
-    for c in program.clauses:
-        theta = unify_atoms(c.head, a)
-        if theta is None:
-            continue
-        body = tuple(apply_subst_atom(theta, b) for b in c.body)
-        full = ground_body(body, {})
-        if full is not None:
-            head = apply_subst_atom(full, apply_subst_atom(theta, c.head))
-            body_inst = tuple(apply_subst_atom(full, b) for b in body)
-            # head-only variables are irrelevant to coverage of a ground
-            # atom; a successful unification leaves none once theta applies
-            if head == a and all(atom_is_ground(b) for b in body_inst):
-                return CoverWitness(c, Clause(head, body_inst))
-    return None
+    return _coverer(program, spec, sig, depth)(a)
 
 
 def check_completeness_condition(program: Program, spec: SpecSet,
@@ -327,13 +343,14 @@ def check_completeness_condition(program: Program, spec: SpecSet,
         "check_completeness_condition",
         parameters={"spec": spec.name, "depth": depth, "sample_budget": sample_budget},
     )
+    cover = _coverer(program, spec, sig, depth)
     seen: set = set()
     for a in spec.sample(sig, depth):
         if a in seen:
             continue
         seen.add(a)
         report.instances_examined += 1
-        if check_covered(a, program, spec, sig, depth) is None:
+        if cover(a) is None:
             report.add_counterexample({
                 "atom": format_atom(a),
                 "reason": "no clause instance with body inside the spec covers it",
@@ -376,7 +393,7 @@ def check_recurrent(program: Program, lm: LevelMapping = QUEENS_LEVEL_MAPPING,
     for ci, c in enumerate(program.clauses):
         if not c.body:
             continue
-        vs = clause_vars(c)
+        vs, head_tpl, body_tpls = clause_template(c)
         share = max_instances - report.instances_examined
         n = len(pool)
         while n > 1 and n ** len(vs) > share:
@@ -387,17 +404,17 @@ def check_recurrent(program: Program, lm: LevelMapping = QUEENS_LEVEL_MAPPING,
         report.parameters[f"clause_{ci}_pool"] = n
         for combo in product(pool[:n], repeat=len(vs)):
             report.instances_examined += 1
-            s = dict(zip(vs, combo))
-            head = apply_subst_atom(s, c.head)
+            head = instantiate_atom(head_tpl, combo)
             try:
                 hl = lm.atom_level(head)
-                for b in c.body:
-                    bi = apply_subst_atom(s, b)
+                for b in body_tpls:
+                    bi = instantiate_atom(b, combo)
                     if lm.atom_level(bi) >= hl:
                         report.add_counterexample({
                             "clause": format_clause(c),
                             "instance": format_clause(
-                                Clause(head, tuple(apply_subst_atom(s, x) for x in c.body))
+                                Clause(head, tuple(instantiate_atom(x, combo)
+                                                   for x in body_tpls))
                             ),
                             "reason": f"level {lm.atom_level(bi)} of a body atom "
                                       f"is not below head level {hl}",

@@ -1,9 +1,14 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import queenscheck
 from queenscheck.cli import EXIT_CAPPED, EXIT_FAIL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 from queenscheck.parser import parse_term
 from queenscheck.queens import NQUEENS_SOURCE
@@ -134,6 +139,26 @@ def test_verify_model_mutant_fails(capsys):
                        "--depth", "3")
     assert code == EXIT_FAIL
     assert "counterexample" in out
+
+
+@pytest.mark.parametrize("mutant", ["drop-ds-wrapper", "nonuniform-strip"])
+def test_verify_model_stdout_ignores_hash_seed(mutant):
+    # failing reports list at most 20 counterexamples; which ones must not
+    # depend on how strings hash in the process
+    src = str(Path(queenscheck.__file__).parent.parent)
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from queenscheck.cli import main; sys.exit(main(sys.argv[1:]))",
+             "verify", "model", "--depth", "1", "--mutate", mutant],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == EXIT_FAIL
+        outs.append(proc.stdout)
+    assert "counterexample" in outs[0]
+    assert outs[0] == outs[1]
 
 
 def test_verify_fixpoint_small_depth(capsys):

@@ -1,11 +1,14 @@
 """Bounded Herbrand enumeration and bottom-up fixpoints."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from queenscheck.herbrand import (
     ResourceCapError,
     atom_depth_skeleton,
+    bound_depth,
     count_terms,
+    depth_profile,
     enumerate_ground_instances,
     enumerate_terms,
     serialize_atoms,
@@ -18,6 +21,8 @@ from queenscheck.specs import in_s_pq
 from queenscheck.terms import (
     Atom,
     Compound,
+    Var,
+    apply_subst_atom,
     DEFAULT_SIGNATURE,
     MINIMAL_SIGNATURE,
     NIL,
@@ -163,3 +168,37 @@ def test_tp_fixpoint_resource_cap_partial():
 def test_serialize_atoms_sorted():
     atoms = [Atom("pq", (numeral(2),)), Atom("pq", (ZERO,))]
     assert serialize_atoms(atoms) == "pq(0)\npq(2)\n"
+
+
+def _terms(leaves, depth=3):
+    """Terms over the given leaves, f/1 and g/2, nested at most depth deep."""
+    leaf = st.sampled_from(leaves)
+    if depth == 0:
+        return leaf
+    sub = _terms(leaves, depth - 1)
+    return st.one_of(leaf,
+                     st.builds(lambda t: Compound("f", (t,)), sub),
+                     st.builds(lambda t, u: Compound("g", (t, u)), sub, sub))
+
+
+_VARS = [Var("A"), Var("B"), Var("C")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_terms(_VARS + [Compound("a")]), max_size=3),
+       st.lists(st.one_of(st.none(), _terms([Compound("a"), NIL], 2)),
+                min_size=3, max_size=3))
+def test_bound_depth_is_skeleton_depth_of_the_partial_instance(args, slots):
+    # tp_fixpoint's head-depth pre-check, against building the instance
+    head = Atom("p", tuple(args))
+    profile = depth_profile(head, {v: i for i, v in enumerate(_VARS)})
+    sub = {v: t for v, t in zip(_VARS, slots) if t is not None}
+    assert bound_depth(profile, slots) == atom_depth_skeleton(apply_subst_atom(sub, head))
+
+
+def test_tp_fixpoint_default_pool_sizes():
+    # recorded before heads were built from slot templates; the default
+    # pool holds numerals up to the depth, so the per-variable depth limits
+    # of the filler products are exercised here
+    assert len(tp_fixpoint(pq_fragment(), SIG, 2)) == 5_440
+    assert len(tp_fixpoint(nqueens_program(), SIG, 2)) == 5_565

@@ -1,7 +1,7 @@
 """Term model: numerals, lists, substitutions, depth, printing."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from queenscheck.terms import (
     Atom,
@@ -20,6 +20,7 @@ from queenscheck.terms import (
     apply_subst_atom,
     atom_depth,
     atom_is_ground,
+    clause_template,
     clause_vars,
     compose_subst,
     cons,
@@ -27,6 +28,7 @@ from queenscheck.terms import (
     format_atom,
     format_clause,
     format_term,
+    instantiate_atom,
     is_ground,
     is_proper_list,
     kth_member,
@@ -162,6 +164,11 @@ def test_formatting():
 def test_signature_checks():
     assert DEFAULT_SIGNATURE.arity("cons") == 2
     assert DEFAULT_SIGNATURE.arity("nope") is None
+    # the arity map is derived from the symbols, so it takes no part in equality
+    same = Signature(frozenset(DEFAULT_SIGNATURE.symbols))
+    assert same == DEFAULT_SIGNATURE and hash(same) == hash(DEFAULT_SIGNATURE)
+    assert same.arities == {"0": 0, "s": 1, "nil": 0, "cons": 2,
+                            **{c: 0 for c in "abcdef"}}
     assert set("abcdef") <= set(DEFAULT_SIGNATURE.constants())
     assert MINIMAL_SIGNATURE.functions() == (("cons", 2), ("s", 1))
     DEFAULT_SIGNATURE.check_term(make_list([a, numeral(1)]))
@@ -190,3 +197,35 @@ def test_apply_subst_atom_and_query():
     assert apply_subst_atom({X: b}, atom) == Atom("p", (b, a))
     q = Query((atom,))
     assert q.atoms == (atom,)
+
+
+def _terms(leaves, depth=3):
+    """Terms over the given leaves, f/1 and g/2, nested at most depth deep."""
+    leaf = st.sampled_from(leaves)
+    if depth == 0:
+        return leaf
+    sub = _terms(leaves, depth - 1)
+    return st.one_of(leaf,
+                     st.builds(lambda t: Compound("f", (t,)), sub),
+                     st.builds(lambda t, u: Compound("g", (t, u)), sub, sub))
+
+
+def _atoms(pred, leaves):
+    return st.lists(_terms(leaves), min_size=0, max_size=3).map(
+        lambda args: Atom(pred, tuple(args)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_atoms("p", [Var("A"), Var("B"), Var("C"), a]),
+       st.lists(_atoms("q", [Var("A"), Var("B"), Var("D"), b]), max_size=2),
+       st.data())
+def test_clause_template_agrees_with_apply_subst(head, body, data):
+    c = Clause(head, tuple(body))
+    vs, head_tpl, body_tpls = clause_template(c)
+    assert vs == clause_vars(c)
+    slots = data.draw(st.lists(_terms([a, b, numeral(1)], 2),
+                               min_size=len(vs), max_size=len(vs)))
+    sub = dict(zip(vs, slots))
+    assert instantiate_atom(head_tpl, slots) == apply_subst_atom(sub, head)
+    assert [instantiate_atom(t, slots) for t in body_tpls] == \
+        [apply_subst_atom(sub, x) for x in body]

@@ -16,6 +16,7 @@ from queenscheck.terms import (
 )
 from queenscheck.unify import (
     UnifyOptions,
+    bindings_cyclic,
     match_atom,
     match_term,
     mgu,
@@ -128,3 +129,19 @@ def test_match_atom():
     fact = Atom("pq", (a, make_list([a, NIL])))
     assert match_atom(pat, fact) == {X: a, Y: make_list([NIL])}
     assert match_atom(pat, Atom("pqs", (a, a))) is None
+
+
+def test_bindings_cyclic_long_chain():
+    # X0 -> f(X1) -> ... -> f(X4999): each binding is scanned once, with no
+    # recursion, whichever variables the walk starts from
+    vs = [Var(f"X{i}") for i in range(5000)]
+    bindings = {vs[i]: Compound("f", (vs[i + 1],)) for i in range(4999)}
+    assert not bindings_cyclic(bindings, vs[:1])
+    assert not bindings_cyclic(bindings, vs)
+    bindings[vs[-1]] = Compound("g", (a, vs[0]))
+    assert bindings_cyclic(bindings, vs[:1])
+    assert bindings_cyclic(bindings, vs[2500:])
+    # a variable reached along two paths is shared, not cyclic
+    w = Var("W")
+    shared = {X: Compound("g", (Y, Z)), Y: Compound("f", (w,)), Z: Compound("f", (w,)), w: a}
+    assert not bindings_cyclic(shared, [X, Y, Z, w])

@@ -3,7 +3,7 @@
 import pytest
 
 from queenscheck.parser import parse_program, parse_query, parse_term
-from queenscheck.queens import nqueens_program, pq_fragment
+from queenscheck.queens import mutant_program, nqueens_program, pq_fragment
 from queenscheck.specs import (
     LevelMapping,
     SpecSet,
@@ -231,3 +231,56 @@ def test_row_shift_deterministic_for_seed():
     r2 = check_row_shift(SIG, max_i=2, n_instances=1_000, seed=3)
     assert r1.parameters == r2.parameters
     assert r1.instances_examined == r2.instances_examined
+
+
+# --- pinned work ---------------------------------------------------------------
+
+_MODEL_SCANS = {
+    "clause_0_scan": "uniform depth 1",
+    "clause_1_scan": "body-directed over sampled slice",
+    "clause_2_scan": "uniform depth 1",
+    "clause_3_scan": "body-directed over sampled slice",
+}
+
+#: Per program: (model instances, recurrent instances, fixpoint instances,
+#: fixpoint size, symmetric difference), recorded from the checks as they
+#: were before their instance loops ran on compiled clause templates.
+PINNED_WORK = {
+    None: (516_992, 20_480, 13_932, 13_932, 0),
+    "drop-ds-wrapper": (516_608, 17_408, 13_932, 13_932, 0),
+    "nonuniform-strip": (516_928, 8_192, 16_605, 2_754, 16_524),
+    "swap-us-ds": (516_992, 20_480, 13_932, 13_932, 0),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(PINNED_WORK, key=str))
+def test_check_work_is_pinned(mutant):
+    # a speedup must do the same work: same slices, same instance counts
+    model_n, recurrent_n, fix_n, fix_size, sym_diff = PINNED_WORK[mutant]
+    p = mutant_program(mutant) if mutant else nqueens_program()
+    broken = mutant in ("drop-ds-wrapper", "nonuniform-strip")
+    truncated = {"counterexamples_truncated": True} if broken else {}
+
+    r = check_model(p, spec_set("s"), SIG, 1)
+    assert (r.verdict, r.instances_examined) == ("fail" if broken else "pass", model_n)
+    assert r.parameters == {"spec": "s", "depth": 1, "max_instances": 10_000_000,
+                            "fillers": ["0", "a"], "sampled_slice": 21_988,
+                            **_MODEL_SCANS, **truncated}
+
+    r = check_completeness_condition(p, spec_set("s0"), SIG, 2, sample_budget=2_000)
+    assert (r.verdict, r.instances_examined) == ("fail" if broken else "pass", 2_000)
+    assert r.parameters == {"spec": "s0", "depth": 2, "sample_budget": 2_000, **truncated}
+
+    r = check_recurrent(p, sig=SIG, depth=1)
+    assert (r.verdict, r.instances_examined) == ("pass", recurrent_n)
+    assert r.parameters == {"depth": 1, "probe_pool_size": 4, "max_instances": 10_000_000,
+                            "clause_1_pool": 4, "clause_3_pool": 4}
+
+    pool = exactness_pool(SIG)
+    expected = sample_s_pq(SIG, 3, pool=pool, max_spine=3)
+    r = check_fixpoint_exactness(Program(p.clauses_for("pq")), expected, SIG, 3, pool=pool)
+    fix_broken = mutant == "nonuniform-strip"
+    assert (r.verdict, r.instances_examined) == ("fail" if fix_broken else "pass", fix_n)
+    assert r.parameters == {"depth": 3, "fixpoint_size": fix_size, "expected_size": 13_932,
+                            "symmetric_difference": sym_diff,
+                            **({"counterexamples_truncated": True} if fix_broken else {})}
