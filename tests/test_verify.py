@@ -1,5 +1,7 @@
 """Bounded verification checks: model, coverage, recurrence, bounds, shifts."""
 
+import hashlib
+
 import pytest
 
 from queenscheck.parser import parse_program, parse_query, parse_term
@@ -10,7 +12,9 @@ from queenscheck.specs import (
     exactness_pool,
     in_s_pq,
     level,
+    sample_s0_pqs,
     sample_s_pq,
+    sample_s_pqs,
     spec_set,
     term_size,
 )
@@ -21,6 +25,7 @@ from queenscheck.terms import (
     ZERO,
     apply_subst_atom,
     atom_is_ground,
+    format_atom,
     numeral,
 )
 from queenscheck.verify import (
@@ -284,3 +289,35 @@ def test_check_work_is_pinned(mutant):
     assert r.parameters == {"depth": 3, "fixpoint_size": fix_size, "expected_size": 13_932,
                             "symmetric_difference": sym_diff,
                             **({"counterexamples_truncated": True} if fix_broken else {})}
+
+
+#: Per sampler and depth: (atom count, sha256 of the formatted atoms in
+#: order, one per line), recorded from the samplers as they were when each
+#: built its own placements and diagonal lists.
+PINNED_SAMPLES = {
+    ("s_pqs", 1): (21_984, "bfd47076c069cd292d3227a792073cd950f06fb3a456d7604d7f5b8e860d8e93"),
+    ("s_pqs", 2): (91_197, "a1512a754ada08ba1e68e7572c421b7b105251d6b3f9f2b1aa83719ea04bebe6"),
+    ("s_pqs", 3): (91_295, "b803be136010d8c1dc33cd132330c3246b4119b07bba2237cc994138eb9d1aec"),
+    ("s_pqs", 4): (91_567, "1a7151b791d7566a1129e0a4893a9eba13777d860129a152fa0310d766d77e94"),
+    ("s0_pqs", 1): (16, "bb9db4d391ad526afd38394ad552edfc40851de3ffd12f69fb6b49259c864f81"),
+    ("s0_pqs", 2): (48, "4b311d7558001f07f6aee1b61b2e39be1b77731975fc8f54565fe84b3af91d30"),
+    ("s0_pqs", 3): (128, "9bf4e3d40ca7376d731b1e3edefcbc54299da3966d96a59f17c466163629010a"),
+    ("s0_pqs", 4): (384, "a1b24c89a61d874f5983e044e04d417a69402244a7201ae337520191b96f59ad"),
+}
+
+
+def test_placement_samplers_and_row_shift_are_pinned():
+    # the diagonal-list samplers and the structured row-shift instances
+    # must keep producing the same atoms in the same order
+    samplers = {"s_pqs": sample_s_pqs, "s0_pqs": sample_s0_pqs}
+    for (name, depth), (count, digest) in PINNED_SAMPLES.items():
+        lines = [format_atom(a) for a in samplers[name](SIG, depth)]
+        got = (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest())
+        assert got == (count, digest), (name, depth)
+
+    r = check_row_shift(SIG, max_i=4, n_instances=5_000, seed=0)
+    assert (r.verdict, r.instances_examined) == ("pass", 5_000)
+    assert r.parameters == {"max_i": 4, "n_instances": 5_000, "seed": 0,
+                            "structured_instances": 222,
+                            "forward_premise_true": 1_094,
+                            "backward_premise_true": 1_302}
