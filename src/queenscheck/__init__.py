@@ -34,10 +34,8 @@ from .engine import (
 from .herbrand import (
     ResourceCapError,
     count_terms,
-    enumerate_ground_instances,
     enumerate_terms,
     tp_fixpoint,
-    tp_step,
 )
 from .specs import (
     PlacementTriple,
@@ -65,7 +63,6 @@ from .verify import (
     check_query_bound,
     check_recurrent,
     check_row_shift,
-    compare_spec_fixpoint,
     report_record,
     report_text,
 )

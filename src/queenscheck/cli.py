@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .engine import Answer, SearchTruncated, SolveOptions, solve
+from .engine import SELECTION_RULES, SearchTruncated, SolveOptions, solve
 from .parser import ParseError, parse_program, parse_query
 from .queens import (
     initial_query,
@@ -40,8 +40,6 @@ from .verify import (
     report_record,
     report_text,
 )
-
-RULES = {"leftmost": "leftmost", "rightmost": "rightmost", "fair": "fair_round_robin"}
 
 SUITES = ("model", "covered", "recurrent", "bound", "rowshift", "fixpoint", "all")
 
@@ -77,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--rule", choices=sorted(RULES), default="leftmost")
+        p.add_argument("--rule", choices=sorted(SELECTION_RULES), default="leftmost")
         p.add_argument("--occur-check", choices=("on", "off"), default="on")
         p.add_argument("--depth", type=_positive, default=None,
                        help="depth limit (solve/query) or base depth (verify)")
@@ -110,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _solve_opts(args) -> SolveOptions:
     return SolveOptions(
-        selection_rule=RULES[args.rule],
+        selection_rule=args.rule,
         depth_limit=args.depth,
         occur_check=args.occur_check == "on",
         answer_limit=getattr(args, "answer_limit", None),

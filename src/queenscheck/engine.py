@@ -45,7 +45,7 @@ from .terms import (
 )
 from .unify import resolve, resolve_atom, try_unify_atoms, undo_trail, walk
 
-SELECTION_RULES = ("leftmost", "rightmost", "fair_round_robin")
+SELECTION_RULES = ("leftmost", "rightmost", "fair")
 
 
 @dataclass(frozen=True)

@@ -7,15 +7,12 @@ small filler pool; the result is an under-approximation of the least
 Herbrand model restricted to the depth bound.
 """
 
-import warnings
 from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Optional
 
-from .parser import parse_term
 from .terms import (
     Atom,
-    Clause,
     Compound,
     Program,
     Signature,
@@ -23,11 +20,8 @@ from .terms import (
     Var,
     apply_subst_atom,
     atom_depth,
-    atom_is_ground,
     atom_vars,
     clause_template,
-    clause_vars,
-    format_atom,
     format_term,
     instantiate_atom,
     is_ground,
@@ -80,34 +74,6 @@ def count_terms(sig: Signature, max_depth: int) -> int:
     return cum
 
 
-def _var_budgets(c: Clause, max_depth: int) -> Optional[dict]:
-    """Max term depth each clause variable may take so that every atom of the
-    instance stays within max_depth; None if the skeleton alone exceeds it."""
-    budgets: dict = {}
-
-    def visit(t: Term, at: int):
-        if isinstance(t, Var):
-            budgets[t] = min(budgets.get(t, max_depth), max_depth - at)
-        else:
-            for a in t.args:
-                visit(a, at + 1)
-
-    for atom in (c.head, *c.body):
-        if atom_depth_skeleton(atom) > max_depth:
-            return None
-        for arg in atom.args:
-            visit(arg, 0)
-    if any(b < 0 for b in budgets.values()):
-        return None
-    return budgets
-
-
-def atom_depth_skeleton(a: Atom) -> int:
-    """Depth contributed by the non-variable skeleton alone (term_depth
-    counts a variable as 0)."""
-    return atom_depth(a)
-
-
 def depth_profile(a: Atom, index: dict) -> tuple:
     """(skeleton depth of a, ((slot, nesting), ...)): the deepest nesting of
     each variable of a, that is the number of compounds around it; index
@@ -120,11 +86,11 @@ def depth_profile(a: Atom, index: dict) -> tuple:
             nesting[index[t]] = max(nesting.get(index[t], 0), at)
         else:
             todo.extend((x, at + 1) for x in t.args)
-    return atom_depth_skeleton(a), tuple(sorted(nesting.items()))
+    return atom_depth(a), tuple(sorted(nesting.items()))
 
 
 def bound_depth(profile: tuple, slots) -> int:
-    """atom_depth_skeleton of the profiled atom with each slot that is not
+    """atom_depth of the profiled atom with each slot that is not
     None filled in: a variable at nesting n bound to a ground term u
     reaches depth n + term_depth(u)."""
     depth, nesting = profile
@@ -133,29 +99,6 @@ def bound_depth(profile: tuple, slots) -> int:
         if u is not None:
             depth = max(depth, n + term_depth(u))
     return depth
-
-
-def enumerate_ground_instances(c: Clause, sig: Signature, max_depth: int
-                               ) -> Iterator[Clause]:
-    """All ground instances of c in which every atom has depth <= max_depth."""
-    vs = clause_vars(c)
-    if len(vs) > 6 and max_depth >= 2:
-        warnings.warn(
-            f"grounding a clause with {len(vs)} variables at depth {max_depth}: "
-            "combinatorial blowup likely",
-            stacklevel=2,
-        )
-    budgets = _var_budgets(c, max_depth)
-    if budgets is None:
-        return
-    pools = [tuple(enumerate_terms(sig, budgets[v])) for v in vs]
-    if any(not p for p in pools):
-        return
-    for combo in product(*pools):
-        s = dict(zip(vs, combo))
-        head = apply_subst_atom(s, c.head)
-        body = tuple(apply_subst_atom(s, b) for b in c.body)
-        yield Clause(head, body)
 
 
 # --- immediate consequence -----------------------------------------------------
@@ -183,31 +126,6 @@ def _index_by_pred(atoms: Iterable[Atom]) -> dict:
     for a in atoms:
         out.setdefault(a.pred, set()).add(a)
     return out
-
-
-def tp_step(p: Program, s: Iterable[Atom], base: Iterable[Atom]) -> frozenset:
-    """One bottom-up step over an explicit base: s plus every base atom that
-    heads a ground clause instance whose body atoms all lie in s."""
-    s = frozenset(s)
-    base = frozenset(base)
-    if not s <= base:
-        raise ValueError("s must be a subset of base")
-    facts = _index_by_pred(s)
-    derived = set(s)
-    for c in p.clauses:
-        body = tuple((b, atom_vars(b)) for b in c.body)
-        for h in base:
-            if h in derived:
-                continue
-            sub = match_atom(c.head, h, None)
-            if sub is None:
-                continue
-            for full in _join_body(body, sub, [facts] * len(c.body)):
-                inst = apply_subst_atom(full, c.head)
-                if atom_is_ground(inst):
-                    derived.add(inst)
-                    break
-    return frozenset(derived)
 
 
 def _default_pool(sig: Signature, max_depth: int) -> tuple:
@@ -309,8 +227,3 @@ def tp_fixpoint(p: Program, sig: Signature, max_depth: int,
         derived |= new
         last = new
     return frozenset(derived)
-
-
-def serialize_atoms(atoms: Iterable[Atom]) -> str:
-    """Sorted newline-delimited canonical text, for golden files."""
-    return "\n".join(sorted(format_atom(a) for a in atoms)) + "\n"

@@ -20,9 +20,8 @@ from .terms import (
     NIL,
     Signature,
     Term,
-    Var,
+    cons,
     distinct_members,
-    is_proper_list,
     kth_member,
     make_list,
     members,
@@ -160,8 +159,9 @@ def in_s0(a: Atom) -> bool:
 
 # --- level mapping -------------------------------------------------------------
 
-def term_size(t: Term) -> int:
-    """Spine length: 1 + size of the tail for cons and s, 0 for anything else."""
+def spine(t: Term) -> tuple:
+    """(n, end): t is n cons or s cells, each continuing in its last
+    argument, followed by the term end."""
     n = 0
     while isinstance(t, Compound) and (
         (t.functor == "cons" and len(t.args) == 2)
@@ -169,7 +169,12 @@ def term_size(t: Term) -> int:
     ):
         n += 1
         t = t.args[-1]
-    return n
+    return n, t
+
+
+def term_size(t: Term) -> int:
+    """Spine length: 1 + size of the tail for cons and s, 0 for anything else."""
+    return spine(t)[0]
 
 
 @dataclass(frozen=True)
@@ -210,14 +215,9 @@ def letter_terms(sig: Signature) -> tuple:
 def small_term_pool(sig: Signature, depth: int) -> tuple:
     """Constants, small numerals, and short lists over them; the grounding
     pool for don't-care argument positions in bounded checks."""
-    fill = filler_terms(sig, 2)
-    elems = list(fill)
-    for n in range(1, min(depth, 2) + 1):
-        t = numeral(n)
-        if t not in elems:
-            elems.append(t)
-    pool = list(fill) + [t for t in elems if t not in fill] + [NIL]
-    tails = [NIL] + list(fill[:1])
+    elems = _pq_pool(sig, depth)
+    pool = list(elems) + [NIL]
+    tails = [NIL, elems[0]]
     for e in elems:
         for tl in tails:
             pool.append(make_list([e], tl))
@@ -234,37 +234,43 @@ def small_term_pool(sig: Signature, depth: int) -> tuple:
     return tuple(out)
 
 
-def _valid_placements(i: int, n_cols: int):
-    """Injective diagonal-safe assignments of queens 1..i to columns 1..n_cols."""
-    out = []
-    for cols in permutations(range(1, n_cols + 1), i):
-        ups = [cols[j - 1] + j for j in range(1, i + 1)]
-        downs = [cols[j - 1] - j for j in range(1, i + 1)]
-        if len(set(ups)) == len(ups) and len(set(downs)) == len(downs):
-            out.append(cols)
-    return out
+def safe_placements(m: int, length: int, letters) -> Iterator[tuple]:
+    """(cols, cs) for each diagonal-safe injective assignment of queens 1..m
+    to columns 1..length: queen j sits in column cols[j-1], and the column
+    list cs holds numeral j at that position and distinct letters in the
+    empty columns. Nothing if there are fewer letters than empty columns."""
+    if length - m > len(letters):
+        return
+    for cols in permutations(range(1, length + 1), m):
+        if (len({k + j for j, k in enumerate(cols, 1)}) == m
+                and len({k - j for j, k in enumerate(cols, 1)}) == m):
+            items = [None] * length
+            for j, k in enumerate(cols, 1):
+                items[k - 1] = numeral(j)
+            spare = iter(letters)
+            yield cols, make_list([t if t is not None else next(spare) for t in items])
 
 
-def _forced_list(forced: dict, min_len: int, fill: Term, tail: Term) -> Term:
-    """List whose position l holds forced[l], other positions the filler."""
-    length = max([min_len] + list(forced))
-    items = [forced.get(l, fill) for l in range(1, length + 1)]
-    return make_list(items, tail)
+def diagonal_lists(cols, m: int, i: int, fill: Term,
+                   us_tail: Term = NIL, ds_tail: Term = NIL,
+                   us_min: int = 0, ds_min: int = 0) -> tuple:
+    """(us, ds) forced by queens 1..m in columns cols in the context of row
+    i: queen j at each positive diagonal number of its up- (down-)diagonal,
+    fill at every other position, each list at least its minimum length
+    before its tail."""
+    forced_up: dict = {}
+    forced_down: dict = {}
+    for j, k in enumerate(cols[:m], 1):
+        if up_diag_number(j, k, i) > 0:
+            forced_up[up_diag_number(j, k, i)] = numeral(j)
+        if down_diag_number(j, k, i) > 0:
+            forced_down[down_diag_number(j, k, i)] = numeral(j)
 
+    def filled(forced: dict, min_len: int, tail: Term) -> Term:
+        length = max([min_len, *forced])
+        return make_list([forced.get(l, fill) for l in range(1, length + 1)], tail)
 
-def _placement_cs(cols, i: int, length: int, letters) -> Optional[Term]:
-    """Column list of the given length: queen j at position cols[j-1], empty
-    columns filled with distinct letters; None if not enough letters."""
-    items: list = [None] * length
-    for j in range(1, i + 1):
-        items[cols[j - 1] - 1] = numeral(j)
-    spare = list(letters)
-    for k in range(length):
-        if items[k] is None:
-            if not spare:
-                return None
-            items[k] = spare.pop(0)
-    return make_list(items)
+    return filled(forced_up, us_min, us_tail), filled(forced_down, ds_min, ds_tail)
 
 
 def sample_s0_pqs(sig: Signature, depth: int) -> Iterator[Atom]:
@@ -277,40 +283,21 @@ def sample_s0_pqs(sig: Signature, depth: int) -> Iterator[Atom]:
     max_i = min(depth, 4)
     for i in range(1, max_i + 1):
         for length in range(i, max(depth, i) + 1):
-            for cols in _valid_placements(i, length):
-                cs = _placement_cs(cols, i, length, letters)
-                if cs is None:
-                    continue
-                forced_up = {
-                    up_diag_number(j, cols[j - 1], i): numeral(j)
-                    for j in range(1, i + 1)
-                    if up_diag_number(j, cols[j - 1], i) > 0
-                }
-                forced_down = {
-                    down_diag_number(j, cols[j - 1], i): numeral(j)
-                    for j in range(1, i + 1)
-                }
+            for cols, cs in safe_placements(i, length, letters):
                 for us_fill, us_tail, ds_tail, head_t in product(
                     fill, (NIL, fill[0]), (NIL, fill[0]), fill
                 ):
-                    us = _forced_list(forced_up, 0, us_fill, us_tail)
-                    ds = _forced_list(forced_down, 0, us_fill, ds_tail)
-                    atom = Atom(
-                        PQS,
-                        (numeral(i), cs, us, Compound("cons", (head_t, ds))),
-                    )
+                    us, ds = diagonal_lists(cols, i, i, us_fill, us_tail, ds_tail)
+                    atom = Atom(PQS, (numeral(i), cs, us, cons(head_t, ds)))
                     if in_s0_pqs(atom):
                         yield atom
 
 
-def _inject(t: Term, position: int, value: Term) -> Optional[Term]:
-    """Proper list equal to t but with `value` at the given position,
-    extending with copies of value as needed; None if t is not proper."""
-    if not is_proper_list(t):
-        return None
+def _inject(t: Term, position: int, value: Term) -> Term:
+    """The proper list t but with `value` at the given position, extended
+    with copies of value as needed."""
     items = members(t)
-    while len(items) < position:
-        items.append(value)
+    items += [value] * (position - len(items))
     items[position - 1] = value
     return make_list(items)
 
@@ -338,39 +325,16 @@ def sample_s_pqs(sig: Signature, depth: int) -> Iterator[Atom]:
     letters = letter_terms(sig)
     for i in range(0, min(depth, 3) + 1):
         q = i + 1
-        max_len = max(depth, q)
-        for length in range(q, max_len + 1):
-            for cols in _valid_placements(q, length):
-                cs = _placement_cs(cols, q, length, letters)
-                if cs is None:
-                    continue
+        for length in range(q, max(depth, q) + 1):
+            for cols, cs in safe_placements(q, length, letters):
                 kq = cols[q - 1]
-                forced_up = {
-                    up_diag_number(j, cols[j - 1], i): numeral(j)
-                    for j in range(1, i + 1)
-                    if up_diag_number(j, cols[j - 1], i) > 0
-                }
-                forced_down = {
-                    down_diag_number(j, cols[j - 1], i): numeral(j)
-                    for j in range(1, i + 1)
-                }
+                head_t = numeral(q) if kq == 1 else fill[0]
                 for us_fill, t1 in product(fill, fill):
-                    us_inner = _forced_list(forced_up, 0, us_fill, NIL)
-                    ds_inner = _forced_list(forced_down, 0, us_fill, NIL)
-                    us3 = _inject(us_inner, kq, numeral(q))
-                    ds_full = _inject(ds_inner, kq - 1, numeral(q)) if kq > 1 else ds_inner
-                    if us3 is None or ds_full is None:
-                        continue
-                    head_t = numeral(q) if kq == 1 else fill[0]
-                    atom = Atom(
-                        PQS,
-                        (
-                            numeral(i),
-                            cs,
-                            Compound("cons", (t1, us3)),
-                            Compound("cons", (head_t, ds_full)),
-                        ),
-                    )
+                    us, ds = diagonal_lists(cols, i, i, us_fill)
+                    us = _inject(us, kq, numeral(q))
+                    if kq > 1:
+                        ds = _inject(ds, kq - 1, numeral(q))
+                    atom = Atom(PQS, (numeral(i), cs, cons(t1, us), cons(head_t, ds)))
                     if in_s_pqs(atom):
                         yield atom
 

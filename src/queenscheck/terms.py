@@ -5,7 +5,7 @@ Everything is immutable and hashable, so values can be shared freely.
 """
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,33 +185,19 @@ def kth_member(t: Term, k: int) -> Optional[Term]:
     return None
 
 
-def members_with_index(t: Term):
-    """All pairs (k, e) with e the k-th member of t, increasing k."""
-    out = []
-    k = 1
-    while isinstance(t, Compound) and t.functor == CONS and len(t.args) == 2:
-        out.append((k, t.args[0]))
-        t = t.args[1]
-        k += 1
-    return out
-
-
 def members(t: Term):
-    return [e for _, e in members_with_index(t)]
+    """The members of t in spine order, up to the end of its cons chain."""
+    out = []
+    while isinstance(t, Compound) and t.functor == CONS and len(t.args) == 2:
+        out.append(t.args[0])
+        t = t.args[1]
+    return out
 
 
 def is_proper_list(t: Term) -> bool:
     while isinstance(t, Compound) and t.functor == CONS and len(t.args) == 2:
         t = t.args[1]
     return t == NIL
-
-
-def list_length(t: Term) -> Optional[int]:
-    n = 0
-    while isinstance(t, Compound) and t.functor == CONS and len(t.args) == 2:
-        t = t.args[1]
-        n += 1
-    return n if t == NIL else None
 
 
 def distinct_members(t: Term) -> bool:
@@ -237,23 +223,6 @@ def apply_subst(s: Substitution, t: Term) -> Term:
 
 def apply_subst_atom(s: Substitution, a: Atom) -> Atom:
     return Atom(a.pred, tuple(apply_subst(s, t) for t in a.args))
-
-
-def apply_subst_query(s: Substitution, q: Query) -> Query:
-    return Query(tuple(apply_subst_atom(s, a) for a in q.atoms))
-
-
-def compose_subst(s: Substitution, t: Substitution) -> Substitution:
-    """Substitution equal to applying s, then t."""
-    out = {}
-    for v, term in s.items():
-        term2 = apply_subst(t, term)
-        if term2 != v:
-            out[v] = term2
-    for v, term in t.items():
-        if v not in s and term != v:
-            out[v] = term
-    return out
 
 
 def term_vars(t: Term, acc=None):

@@ -227,13 +227,6 @@ def _match_into(pattern: Term, ground: Term, out: dict) -> bool:
     return True
 
 
-def match_term(pattern: Term, ground: Term, subst: Optional[dict] = None) -> Optional[dict]:
-    """One-way matching: substitution over pattern variables making the
-    pattern equal to the (ground) target, extending subst if given."""
-    out = dict(subst) if subst else {}
-    return out if _match_into(pattern, ground, out) else None
-
-
 def match_atom(pattern: Atom, fact: Atom, subst: Optional[dict] = None) -> Optional[dict]:
     if pattern.pred != fact.pred or len(pattern.args) != len(fact.args):
         return None

@@ -16,7 +16,6 @@ from typing import Iterable, Iterator, Optional
 from .herbrand import (
     DEFAULT_MAX_INSTANCES,
     ResourceCapError,
-    _var_budgets,
     count_terms,
     enumerate_terms,
     tp_fixpoint,
@@ -26,14 +25,12 @@ from .specs import (
     PlacementTriple,
     QUEENS_LEVEL_MAPPING,
     SpecSet,
-    _forced_list,
-    _placement_cs,
-    _valid_placements,
     correct_up_to,
-    down_diag_number,
+    diagonal_lists,
     filler_terms,
     letter_terms,
-    up_diag_number,
+    safe_placements,
+    spine,
 )
 from .terms import (
     Atom,
@@ -46,6 +43,7 @@ from .terms import (
     Term,
     Var,
     apply_subst_atom,
+    atom_depth,
     atom_vars,
     clause_template,
     clause_vars,
@@ -151,6 +149,28 @@ def _body_candidates(body, subst, by_pred, contains) -> Iterator[dict]:
         ext = match_atom(first, fact, subst)
         if ext is not None:
             yield from _body_candidates(rest, ext, by_pred, contains)
+
+
+def _var_budgets(c: Clause, max_depth: int) -> Optional[dict]:
+    """Max term depth each clause variable may take so that every atom of the
+    instance stays within max_depth; None if the skeleton alone exceeds it."""
+    budgets: dict = {}
+
+    def visit(t: Term, at: int):
+        if isinstance(t, Var):
+            budgets[t] = min(budgets.get(t, max_depth), max_depth - at)
+        else:
+            for a in t.args:
+                visit(a, at + 1)
+
+    for atom in (c.head, *c.body):
+        if atom_depth(atom) > max_depth:
+            return None
+        for arg in atom.args:
+            visit(arg, 0)
+    if any(b < 0 for b in budgets.values()):
+        return None
+    return budgets
 
 
 def _uniform_pools(c: Clause, sig: Signature, depth: int, budget: int):
@@ -432,16 +452,8 @@ def check_recurrent(program: Program, lm: LevelMapping = QUEENS_LEVEL_MAPPING,
 def _spine_bound(t: Term) -> Optional[int]:
     """Upper bound on term_size over all ground instances of t; None if the
     spine is open (ends in a variable)."""
-    n = 0
-    while isinstance(t, Compound) and (
-        (t.functor == "cons" and len(t.args) == 2)
-        or (t.functor == "s" and len(t.args) == 1)
-    ):
-        n += 1
-        t = t.args[-1]
-    if isinstance(t, Var):
-        return None
-    return n
+    n, end = spine(t)
+    return None if isinstance(end, Var) else n
 
 
 def check_query_bound(query: Query,
@@ -466,57 +478,6 @@ def check_query_bound(query: Query,
             return None
         best = bound if best is None else max(best, bound)
     return best
-
-
-def compare_spec_fixpoint(program: Program, spec_correct: SpecSet,
-                          spec_complete: SpecSet,
-                          sig: Signature = DEFAULT_SIGNATURE, depth: int = 3,
-                          pool: Optional[tuple] = None,
-                          max_atoms: int = DEFAULT_MAX_INSTANCES,
-                          evidence_budget: int = 20_000) -> CheckReport:
-    """Bottom-up fixpoint versus the two spec sets: every fixpoint atom must
-    lie in the correctness set (counterexamples otherwise); presence of
-    sampled completeness atoms in the fixpoint is reported as bounded
-    evidence, not as counterexamples (the fixpoint under-approximates)."""
-    report = CheckReport(
-        "compare_spec_fixpoint",
-        parameters={
-            "spec_correct": spec_correct.name,
-            "spec_complete": spec_complete.name,
-            "depth": depth,
-        },
-    )
-    try:
-        fix = tp_fixpoint(program, sig, depth, pool=pool, max_atoms=max_atoms)
-    except ResourceCapError as e:
-        fix = e.partial or frozenset()
-        report.capped = True
-    report.parameters["fixpoint_size"] = len(fix)
-    report.instances_examined = len(fix)
-    bad = 0
-    for a in fix:
-        if not spec_correct.contains(a):
-            bad += 1
-            report.add_counterexample({
-                "atom": format_atom(a),
-                "reason": "fixpoint atom outside the correctness spec",
-            })
-    report.parameters["fixpoint_atoms_outside_spec"] = bad
-    present = absent = 0
-    seen: set = set()
-    for a in spec_complete.sample(sig, depth):
-        if a in seen:
-            continue
-        seen.add(a)
-        if a in fix:
-            present += 1
-        else:
-            absent += 1
-        if len(seen) >= evidence_budget:
-            break
-    report.parameters["bounded_evidence_present"] = present
-    report.parameters["bounded_evidence_absent"] = absent
-    return report
 
 
 def check_fixpoint_exactness(program: Program, expected: Iterable[Atom],
@@ -556,37 +517,14 @@ def _row_shift_structured(max_i: int, fill, letters):
     for i in range(1, max_i + 1):
         for m in range(1, i + 1):
             for length in range(m, max_i + 1):
-                for cols in _valid_placements(m, length):
-                    cs = _placement_cs(cols, m, length, letters)
-                    if cs is None:
-                        continue
+                for cols, cs in safe_placements(m, length, letters):
                     # (cs, [t|us], ds) correct up to m in the context of row i
-                    fu = {
-                        up_diag_number(j, cols[j - 1], i): numeral(j)
-                        for j in range(1, m + 1)
-                        if up_diag_number(j, cols[j - 1], i) > 0
-                    }
-                    fd = {
-                        down_diag_number(j, cols[j - 1], i): numeral(j)
-                        for j in range(1, m + 1)
-                    }
-                    uf = _forced_list(fu, 1, fill[0], NIL)
-                    ds = _forced_list(fd, 0, fill[0], NIL)
+                    uf, ds = diagonal_lists(cols, m, i, fill[0], us_min=1)
                     for t2 in (fill[0], numeral(1)):
                         yield (cs, uf.args[1], ds, uf.args[0], t2, m, i)
                     # (cs, us, [t2|ds]) correct up to m in the context of row i+1
-                    fu2 = {
-                        up_diag_number(j, cols[j - 1], i + 1): numeral(j)
-                        for j in range(1, m + 1)
-                        if up_diag_number(j, cols[j - 1], i + 1) > 0
-                    }
-                    fd2 = {
-                        down_diag_number(j, cols[j - 1], i + 1): numeral(j)
-                        for j in range(1, m + 1)
-                    }
-                    us2 = _forced_list(fu2, 0, fill[0], NIL)
-                    df = _forced_list(fd2, 1, fill[0], NIL)
-                    yield (cs, us2, df.args[1], fill[0], df.args[0], m, i)
+                    us, df = diagonal_lists(cols, m, i + 1, fill[0], ds_min=1)
+                    yield (cs, us, df.args[1], fill[0], df.args[0], m, i)
 
 
 def _mutate_list(rng: random.Random, t, atoms):

@@ -10,8 +10,6 @@ depth-3 slice, and its engine answers equal the oracle's for n=1..8.
 
 import time
 
-import pytest
-
 from queenscheck.engine import SolveOptions
 from queenscheck.herbrand import tp_fixpoint
 from queenscheck.parser import parse_program
@@ -192,7 +190,7 @@ def test_criterion_6_pq_fixpoint_exactness():
 def test_criterion_7_rule_and_occur_check_invariance():
     baseline = {n: brute_force(n) for n in range(1, 7)}
     configs = [(rule, oc)
-               for rule in ("leftmost", "rightmost", "fair_round_robin")
+               for rule in ("leftmost", "rightmost", "fair")
                for oc in (True, False)]
     for rule, oc in configs:
         opts = SolveOptions(selection_rule=rule, occur_check=oc)

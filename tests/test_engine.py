@@ -25,7 +25,7 @@ from queenscheck.terms import (
     format_query,
     format_term,
 )
-from queenscheck.unify import match_atom, mgu, unify_atoms
+from queenscheck.unify import match_atom, unify_atoms
 
 
 def test_zero_row_query_single_answer_unbound():
@@ -95,7 +95,7 @@ def test_answer_order_is_clause_source_order():
 def test_selection_rules_same_answer_set():
     q = parse_query("pqs(s(s(s(s(0)))), [A,B,C,D], Us, Ds)")
     sets = []
-    for rule in ("leftmost", "rightmost", "fair_round_robin"):
+    for rule in ("leftmost", "rightmost", "fair"):
         answers = solve_answers(nqueens_program(), q, SolveOptions(selection_rule=rule))
         sets.append({format_query(a.instantiated_query) for a in answers})
     assert sets[0] == sets[1] == sets[2]
@@ -226,7 +226,7 @@ GOLDEN_5 = {
         "pqs(5,[2,4,1,3,5],[4,3,_G1,_G2,5|_G3],[_G4,_G5,_G6,4,2,5,3,1|_G7])",
         "pqs(5,[3,1,4,2,5],[2,4,_G1,_G2,5|_G3],[_G4,_G5,_G6,3,4,5,1,2|_G7])",
     ],
-    "fair_round_robin": [
+    "fair": [
         "pqs(5,[5,2,4,1,3],[5,4,3|_G1],[_G2,5,_G3,_G4,4,2,_G5,3,1|_G6])",
         "pqs(5,[5,3,1,4,2],[5,2,4|_G1],[_G2,5,_G3,_G4,3,4,_G5,1,2|_G6])",
         "pqs(5,[3,5,2,4,1],[1,5,4|_G1],[_G2,_G3,5,3,_G4,4,2,_G5,_G6,1|_G7])",

@@ -5,34 +5,32 @@ from hypothesis import given, settings, strategies as st
 
 from queenscheck.herbrand import (
     ResourceCapError,
-    atom_depth_skeleton,
     bound_depth,
     count_terms,
     depth_profile,
-    enumerate_ground_instances,
     enumerate_terms,
-    serialize_atoms,
     tp_fixpoint,
-    tp_step,
 )
-from queenscheck.parser import parse_program, parse_query
+from queenscheck.parser import parse_program
 from queenscheck.queens import nqueens_program, pq_fragment
-from queenscheck.specs import in_s_pq
+from queenscheck.specs import in_s_pq, spec_set
 from queenscheck.terms import (
     Atom,
     Compound,
     Var,
     apply_subst_atom,
+    atom_depth,
     DEFAULT_SIGNATURE,
     MINIMAL_SIGNATURE,
     NIL,
+    Program,
     ZERO,
     cons,
     format_atom,
-    make_list,
     numeral,
     term_depth,
 )
+from queenscheck.verify import check_model
 
 SIG = DEFAULT_SIGNATURE
 
@@ -65,74 +63,32 @@ def test_count_default_signature_growth():
     assert [count_terms(SIG, d) for d in range(4)] == [8, 80, 6488, 42100640]
 
 
+# check_model scans a unit clause's ground instances over the terms that
+# keep every atom within the depth
+
 def test_ground_instances_unit_clause_count():
-    p = nqueens_program()
-    zero_row = p.clauses[0]
-    insts = list(enumerate_ground_instances(zero_row, SIG, 0))
-    assert len(insts) == 8 ** 3
-    assert all(not c.body for c in insts)
+    zero_row = nqueens_program().clauses[0]
+    r = check_model(Program((zero_row,)), spec_set("s"), SIG, 0)
+    assert (r.verdict, r.instances_examined) == ("pass", 8 ** 3)
+    assert r.parameters["clause_0_scan"] == "uniform depth 0"
 
 
 def test_ground_instances_ground_clause_identity():
     p = parse_program("pq(0,[],[],[]).")
-    assert list(enumerate_ground_instances(p.clauses[0], SIG, 2)) == [p.clauses[0]]
+    r = check_model(p, spec_set("s"), SIG, 2)
+    assert r.instances_examined == 1
+    assert [cx["head"] for cx in r.counterexamples] == ["pq(0,[],[],[])"]
 
 
 def test_ground_instances_skeleton_exceeds_bound():
     base = nqueens_program().clauses[2]  # head already has depth-1 structure
-    assert list(enumerate_ground_instances(base, SIG, 0)) == []
-    assert atom_depth_skeleton(base.head) == 1
-
-
-def test_ground_instances_blowup_warning():
-    wide = parse_program("p(A,B,C,D,E,F,G).").clauses[0]  # 7 variables
-    with pytest.warns(UserWarning):
-        next(enumerate_ground_instances(wide, SIG, 2), None)
-
-
-def _small_base():
-    i1 = numeral(1)
-    lists = [NIL, make_list([i1]), make_list([ZERO, i1]), make_list([i1, ZERO])]
-    atoms = set()
-    for i in (ZERO, i1):
-        for cs in lists:
-            for us in lists:
-                for ds in lists:
-                    atoms.add(Atom("pq", (i, cs, us, ds)))
-                    atoms.add(Atom("pqs", (i, cs, us, ds)))
-    return frozenset(atoms)
-
-
-def test_tp_step_unit_clause_fills_zero_rows():
-    base = _small_base()
-    got = tp_step(nqueens_program(), frozenset(), base)
-    zero_rows = {a for a in base if a.pred == "pqs" and a.args[0] == ZERO}
-    assert zero_rows <= got
-
-
-def test_tp_step_monotone_and_subset_guard():
-    base = _small_base()
-    s0 = frozenset()
-    s1 = tp_step(pq_fragment(), s0, base)
-    assert s0 <= s1
-    s2 = tp_step(pq_fragment(), s1, base)
-    assert s1 <= s2
-    with pytest.raises(ValueError):
-        tp_step(pq_fragment(), {Atom("pq", (ZERO, ZERO, ZERO, ZERO))}, base)
-
-
-def test_tp_step_base_clause_instances_only():
-    base = _small_base()
-    first = tp_step(pq_fragment(), frozenset(), base)
-    i1 = numeral(1)
-    # from the empty set only the non-recursive clause can fire
-    for a in first:
-        assert a.args[1].args and a.args[1].args[0] == a.args[0]
-    assert Atom("pq", (i1, make_list([i1]), make_list([i1]), make_list([i1]))) in first
+    assert atom_depth(base.head) == 1
+    r = check_model(Program((base,)), spec_set("s"), SIG, 0)
+    assert (r.verdict, r.instances_examined) == ("resource-capped", 0)
+    assert r.parameters["clause_0_scan"] == "skipped: over budget"
 
 
 def test_tp_fixpoint_empty_program():
-    from queenscheck.terms import Program
     assert tp_fixpoint(Program(()), SIG, 2) == frozenset()
 
 
@@ -165,11 +121,6 @@ def test_tp_fixpoint_resource_cap_partial():
     assert e.value.examined > 0
 
 
-def test_serialize_atoms_sorted():
-    atoms = [Atom("pq", (numeral(2),)), Atom("pq", (ZERO,))]
-    assert serialize_atoms(atoms) == "pq(0)\npq(2)\n"
-
-
 def _terms(leaves, depth=3):
     """Terms over the given leaves, f/1 and g/2, nested at most depth deep."""
     leaf = st.sampled_from(leaves)
@@ -193,7 +144,7 @@ def test_bound_depth_is_skeleton_depth_of_the_partial_instance(args, slots):
     head = Atom("p", tuple(args))
     profile = depth_profile(head, {v: i for i, v in enumerate(_VARS)})
     sub = {v: t for v, t in zip(_VARS, slots) if t is not None}
-    assert bound_depth(profile, slots) == atom_depth_skeleton(apply_subst_atom(sub, head))
+    assert bound_depth(profile, slots) == atom_depth(apply_subst_atom(sub, head))
 
 
 def test_tp_fixpoint_default_pool_sizes():

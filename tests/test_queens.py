@@ -21,7 +21,6 @@ from queenscheck.terms import (
     Var,
     format_program,
     is_proper_list,
-    list_length,
     members,
     numeral,
 )
@@ -58,7 +57,7 @@ def test_initial_query():
     assert members(atom.args[1]) == [Var("V1")]
     q4 = initial_query(4)
     cols = q4.atoms[0].args[1]
-    assert is_proper_list(cols) and list_length(cols) == 4
+    assert is_proper_list(cols) and len(members(cols)) == 4
     vs = members(cols)
     assert len(set(vs)) == 4
     assert q4.atoms[0].args[2] != q4.atoms[0].args[3]

@@ -22,7 +22,6 @@ from queenscheck.specs import (
     sample_s0,
     sample_s0_pqs,
     sample_s_pq,
-    sample_s_pqs,
     spec_set,
     term_size,
     up_diag_number,
@@ -34,7 +33,6 @@ from queenscheck.terms import (
     NIL,
     ZERO,
     cons,
-    make_list,
     numeral,
 )
 

@@ -18,7 +18,6 @@ from queenscheck.unify import (
     UnifyOptions,
     bindings_cyclic,
     match_atom,
-    match_term,
     mgu,
     unify_atoms,
 )
@@ -115,13 +114,19 @@ def test_occur_check_off_ends_on_cyclic_bindings():
     assert mgu(t1, t2, UnifyOptions(occur_check=False)) is None
 
 
-def test_match_term_one_way():
-    assert match_term(cons(X, Y), make_list([a])) == {X: a, Y: NIL}
-    assert match_term(cons(X, X), cons(a, a)) == {X: a}
-    assert match_term(cons(X, X), cons(a, NIL)) is None
-    assert match_term(a, NIL) is None
+def test_match_atom_one_way():
+    def p(*args):
+        return Atom("p", args)
+
+    assert match_atom(p(cons(X, Y)), p(make_list([a]))) == {X: a, Y: NIL}
+    assert match_atom(p(cons(X, X)), p(cons(a, a))) == {X: a}
+    assert match_atom(p(cons(X, X)), p(cons(a, NIL))) is None
+    assert match_atom(p(a), p(NIL)) is None
     # matching never binds target-side structure into the pattern's functor
-    assert match_term(numeral(1), numeral(2)) is None
+    assert match_atom(p(numeral(1)), p(numeral(2))) is None
+    # a given substitution is extended, never overwritten
+    assert match_atom(p(X, Y), p(a, NIL), {X: a}) == {X: a, Y: NIL}
+    assert match_atom(p(X), p(NIL), {X: a}) is None
 
 
 def test_match_atom():

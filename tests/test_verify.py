@@ -10,7 +10,6 @@ from queenscheck.specs import (
     LevelMapping,
     SpecSet,
     exactness_pool,
-    in_s_pq,
     level,
     sample_s0_pqs,
     sample_s_pq,
@@ -22,11 +21,8 @@ from queenscheck.terms import (
     Atom,
     DEFAULT_SIGNATURE,
     Program,
-    ZERO,
-    apply_subst_atom,
     atom_is_ground,
     format_atom,
-    numeral,
 )
 from queenscheck.verify import (
     CheckReport,
@@ -37,7 +33,6 @@ from queenscheck.verify import (
     check_query_bound,
     check_recurrent,
     check_row_shift,
-    compare_spec_fixpoint,
     report_record,
     report_text,
 )
@@ -187,23 +182,6 @@ def test_query_bound():
     assert check_query_bound(parse_query("pq(0, [a], [b], [c])")) == 1
     assert check_query_bound(parse_query("pqs(2, [a,b|T], U, D)")) is None
     assert check_query_bound(parse_query("other(X)")) is None
-
-
-def test_compare_spec_fixpoint_trivial():
-    p = parse_program("q(0).")
-    r = compare_spec_fixpoint(
-        p, _const_spec("all", lambda a: True), _const_spec("none", lambda a: False),
-        SIG, 1,
-    )
-    assert r.verdict == "pass"
-    assert r.parameters["fixpoint_atoms_outside_spec"] == 0
-
-
-def test_compare_spec_fixpoint_pq_fragment():
-    r = compare_spec_fixpoint(pq_fragment(), spec_set("s_pq"), spec_set("s_pq"),
-                              SIG, 2, pool=exactness_pool(SIG))
-    assert r.verdict == "pass"
-    assert r.parameters["bounded_evidence_present"] > 0
 
 
 def test_fixpoint_exactness_aligned_slices():
