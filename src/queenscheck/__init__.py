@@ -27,7 +27,6 @@ from .engine import (
     SELECTION_RULES,
     SearchTruncated,
     SolveOptions,
-    derivation_trace,
     solve,
     solve_answers,
 )
@@ -76,7 +75,6 @@ from .queens import (
     mutant_names,
     mutant_program,
     nqueens_program,
-    pq_fragment,
     render_board,
     solution_line,
     solve_queens,

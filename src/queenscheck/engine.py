@@ -11,12 +11,12 @@ trail mark to undo to before trying it. Expanding a resolvent pushes a
 frame, and a frame whose clauses are used up is popped, which is
 backtracking. The stack lives on the heap, so the search itself does not
 deepen the Python stack (the walkers that build an answer's terms still
-recurse once per term level). `solve` streams the machine's answers and
-`derivation_trace` reads its steps off the same machine.
+recurse once per term level). `solve` streams the machine's answers.
 
 Each predicate's clauses are compiled once per call: the clause's
 variables, a template that renames it apart, and, per head argument, its
-principal functor and a first-occurrence flag. A head argument whose
+principal functor and a first-occurrence flag, read off the head
+template's slots with `terms.slot_walk`. A head argument whose
 principal functor differs from that of the walked goal argument cannot
 unify with it, so such a clause is skipped before it is renamed. An
 argument is flagged when it is linear and, reading the head left to
@@ -42,6 +42,7 @@ from .terms import (
     clause_template,
     instantiate_atom,
     query_vars,
+    slot_walk,
 )
 from .unify import resolve, resolve_atom, try_unify_atoms, undo_trail, walk
 
@@ -76,13 +77,6 @@ class SearchTruncated:
     """Marker: some branches hit the depth limit, the stream may be incomplete."""
 
     branches_cut: int
-
-
-@dataclass(frozen=True)
-class TraceStep:
-    goal: Query
-    clause: Clause
-    unifier: tuple  # ((Var, Term), ...) for the selected atom vs clause head
 
 
 def _select(rule: str, n_goals: int, step: int) -> int:
@@ -125,7 +119,6 @@ def _answer(query: Query, qvars, bindings: dict) -> Answer:
 
 @dataclass(frozen=True)
 class _Compiled:
-    clause: Clause
     names: tuple  # variable names, in order of first occurrence
     head: tuple  # atom template of the head (see terms.clause_template)
     body: tuple  # atom template per body atom
@@ -138,28 +131,15 @@ def _principal(t):
     return None if isinstance(t, Var) else (t.functor, len(t.args))
 
 
-def _occurrences(t) -> list:
-    """Every variable occurrence in t, repeats included."""
-    out, todo = [], [t]
-    while todo:
-        u = todo.pop()
-        if isinstance(u, Var):
-            out.append(u)
-        else:
-            todo.extend(u.args)
-    return out
-
-
 def _compile(c: Clause) -> _Compiled:
+    vs, head, body = clause_template(c)
     seen: set = set()
     first = []
-    for t in c.head.args:
-        occ = _occurrences(t)
+    for t in head[1]:
+        occ = [leaf for leaf, _ in slot_walk((t,)) if leaf.__class__ is int]
         first.append(len(set(occ)) == len(occ) and seen.isdisjoint(occ))
         seen.update(occ)
-    vs, head, body = clause_template(c)
     return _Compiled(
-        clause=c,
         names=tuple(v.name for v in vs),
         head=head,
         body=body,
@@ -193,11 +173,10 @@ class _Frame:
         self.mark = mark  # trail length when the frame was pushed
 
 
-def _run(program: Program, query: Query, opts: SolveOptions,
-         trace: Optional[list] = None) -> Iterator[Union[Answer, SearchTruncated]]:
+def _run(program: Program, query: Query, opts: SolveOptions
+         ) -> Iterator[Union[Answer, SearchTruncated]]:
     """Answers of every successful branch, then SearchTruncated if the depth
-    limit cut any branch. If trace is a list, it holds one TraceStep per
-    frame of the current branch whenever an Answer is yielded."""
+    limit cut any branch."""
     compiled: dict = {}
     for c in program.clauses:
         compiled.setdefault(c.head.pred, []).append(_compile(c))
@@ -236,12 +215,6 @@ def _run(program: Program, query: Query, opts: SolveOptions,
                                cc.first_occurrence):
             continue
         body = tuple([instantiate_atom(b, fresh) for b in cc.body])
-        if trace is not None:
-            del trace[len(stack) - 1:]
-            unifier = tuple(sorted(((v, resolve(v, bindings)) for v in trail[frame.mark:]),
-                                   key=lambda p: p[0].name))
-            snapshot = Query(tuple(resolve_atom(a, bindings) for a in frame.goals))
-            trace.append(TraceStep(snapshot, cc.clause, unifier))
         goals = frame.goals[:frame.index] + body + frame.goals[frame.index + 1:]
         steps = frame.steps + 1
     if cut:
@@ -274,16 +247,3 @@ def solve_answers(program: Program, query: Query,
                   opts: SolveOptions = SolveOptions()) -> list:
     """All Answer items of solve, ignoring a truncation marker."""
     return [a for a in solve(program, query, opts) if isinstance(a, Answer)]
-
-
-def derivation_trace(program: Program, query: Query,
-                     opts: SolveOptions = SolveOptions()) -> Optional[list]:
-    """Steps (goal, clause used, unifier) of the first successful branch,
-    or None if the query has no answer within the options' limits."""
-    if not query.atoms:
-        raise ValueError("query must be non-empty")
-    steps: list = []
-    for item in _run(program, query, opts, steps):
-        if isinstance(item, Answer):
-            return steps
-    return None

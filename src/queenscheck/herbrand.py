@@ -17,18 +17,15 @@ from .terms import (
     Program,
     Signature,
     Term,
-    Var,
-    apply_subst_atom,
-    atom_depth,
-    atom_vars,
     clause_template,
     format_term,
     instantiate_atom,
     is_ground,
+    match_template,
     numeral,
+    slot_walk,
     term_depth,
 )
-from .unify import match_atom
 
 DEFAULT_MAX_INSTANCES = 10_000_000
 
@@ -74,19 +71,19 @@ def count_terms(sig: Signature, max_depth: int) -> int:
     return cum
 
 
-def depth_profile(a: Atom, index: dict) -> tuple:
-    """(skeleton depth of a, ((slot, nesting), ...)): the deepest nesting of
-    each variable of a, that is the number of compounds around it; index
-    maps each variable to its slot."""
+def depth_profile(tpl: tuple) -> tuple:
+    """(skeleton depth, ((slot, nesting), ...)) of an atom template: the
+    atom_depth of its atom with every slot a variable, and the deepest
+    nesting of each slot, that is the number of compounds around it."""
+    depth = 0
     nesting: dict = {}
-    todo = [(t, 0) for t in a.args]
-    while todo:
-        t, at = todo.pop()
-        if isinstance(t, Var):
-            nesting[index[t]] = max(nesting.get(index[t], 0), at)
+    for leaf, at in slot_walk(tpl[1]):
+        if leaf.__class__ is int:
+            nesting[leaf] = max(nesting.get(leaf, 0), at)
+            depth = max(depth, at)
         else:
-            todo.extend((x, at + 1) for x in t.args)
-    return atom_depth(a), tuple(sorted(nesting.items()))
+            depth = max(depth, at + term_depth(leaf))
+    return depth, tuple(sorted(nesting.items()))
 
 
 def bound_depth(profile: tuple, slots) -> int:
@@ -103,22 +100,35 @@ def bound_depth(profile: tuple, slots) -> int:
 
 # --- immediate consequence -----------------------------------------------------
 
-def _join_body(body, subst, indices) -> Iterator[dict]:
-    """Substitutions grounding all body atoms; body holds (atom, its
-    variables) pairs, and body atom k is matched against the fact index
-    indices[k]."""
+def body_reads(tpls) -> tuple:
+    """(template, the slots it reads in order of first occurrence) for each
+    body atom template: the body that join_body takes."""
+    return tuple((tpl, tuple(dict.fromkeys(leaf for leaf, _ in slot_walk(tpl[1])
+                                           if leaf.__class__ is int)))
+                 for tpl in tpls)
+
+
+def join_body(body, slots: list, sources) -> Iterator[list]:
+    """Extensions of slots that put every body atom inside its source.
+
+    body holds (template, slots it reads) pairs, and sources[k] is a pair
+    (facts by predicate, membership test) for body atom k: an atom with a
+    free slot is matched against the facts, a ground one is decided by the
+    test. The join never reads a yielded list again, so the caller may fill
+    its free slots."""
     if not body:
-        yield subst
+        yield slots
         return
-    (first, first_vars), rest = body[0], body[1:]
-    if all(v in subst for v in first_vars):
-        if apply_subst_atom(subst, first) in indices[0].get(first.pred, ()):
-            yield from _join_body(rest, subst, indices[1:])
+    (tpl, reads), rest = body[0], body[1:]
+    facts, member = sources[0]
+    if all(slots[i] is not None for i in reads):
+        if member(instantiate_atom(tpl, slots)):
+            yield from join_body(rest, slots, sources[1:])
         return
-    for fact in indices[0].get(first.pred, ()):
-        ext = match_atom(first, fact, subst)
+    for fact in facts.get(tpl[0], ()):
+        ext = match_template(tpl, fact, slots)
         if ext is not None:
-            yield from _join_body(rest, ext, indices[1:])
+            yield from join_body(rest, ext, sources[1:])
 
 
 def _index_by_pred(atoms: Iterable[Atom]) -> dict:
@@ -168,16 +178,13 @@ def tp_fixpoint(p: Program, sig: Signature, max_depth: int,
     deepest = max(pool_depth.values(), default=0)
     compiled = []
     for c in p.clauses:
-        vs, head, _ = clause_template(c)
-        index = {v: i for i, v in enumerate(vs)}
-        body = tuple((b, atom_vars(b)) for b in c.body)
-        compiled.append((body, vs, head, depth_profile(c.head, index)))
+        vs, head, body = clause_template(c)
+        compiled.append((body_reads(body), len(vs), head, depth_profile(head)))
     derived: set = set()
     examined = 0
 
-    def fire(vs, head, profile, sub: dict, new: set):
+    def fire(head, profile, slots: list, new: set):
         nonlocal examined
-        slots = [sub.get(v) for v in vs]
         # remaining free variables only deepen the head, so the depth with
         # the bound ones filled in is a lower bound that lets us skip
         # hopeless filler products
@@ -205,24 +212,21 @@ def tp_fixpoint(p: Program, sig: Signature, max_depth: int,
                 new.add(atom)
 
     new: set = set()
-    for body, vs, head, profile in compiled:
+    for body, n, head, profile in compiled:
         if not body:
-            fire(vs, head, profile, {}, new)
+            fire(head, profile, [None] * n, new)
     derived |= new
     last = new
     # semi-naive rounds: a body join must use at least one last-round atom
     while last:
-        full_idx = _index_by_pred(derived)
-        new_idx = _index_by_pred(last)
+        everything = (_index_by_pred(derived), derived.__contains__)
+        latest = (_index_by_pred(last), last.__contains__)
         new = set()
-        for body, vs, head, profile in compiled:
-            if not body:
-                continue
-            n = len(body)
-            for j in range(n):
-                indices = [new_idx if k == j else full_idx for k in range(n)]
-                for sub in _join_body(body, {}, indices):
-                    fire(vs, head, profile, sub, new)
+        for body, n, head, profile in compiled:
+            for j in range(len(body)):
+                sources = [latest if k == j else everything for k in range(len(body))]
+                for slots in join_body(body, [None] * n, sources):
+                    fire(head, profile, slots, new)
         new -= derived
         derived |= new
         last = new

@@ -30,11 +30,6 @@ pq(I, [I|_], [I|_], [I|_]).
 pq(I, [_|Cs], [_|Us], [_|Ds]) :- pq(I, Cs, Us, Ds).
 """
 
-PQ_FRAGMENT_SOURCE = """\
-pq(I, [I|_], [I|_], [I|_]).
-pq(I, [_|Cs], [_|Us], [_|Ds]) :- pq(I, Cs, Us, Ds).
-"""
-
 #: Single-clause mutations for negative testing of the check suite.
 MUTANT_SOURCES = {
     # known equivalent mutant: pq is symmetric in its last three arguments
@@ -64,10 +59,6 @@ pq(I, [_|Cs], [_|Us], Ds) :- pq(I, Cs, Us, Ds).
 
 def nqueens_program() -> Program:
     return parse_program(NQUEENS_SOURCE)
-
-
-def pq_fragment() -> Program:
-    return parse_program(PQ_FRAGMENT_SOURCE)
 
 
 def mutant_names():

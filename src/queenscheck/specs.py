@@ -180,7 +180,6 @@ def term_size(t: Term) -> int:
 @dataclass(frozen=True)
 class LevelMapping:
     atom_level: Callable[[Atom], int]
-    term_size: Callable[[Term], int]
 
 
 def level(a: Atom) -> int:
@@ -192,7 +191,7 @@ def level(a: Atom) -> int:
     raise ValueError(f"no level defined for predicate {a.pred}/{len(a.args)}")
 
 
-QUEENS_LEVEL_MAPPING = LevelMapping(atom_level=level, term_size=term_size)
+QUEENS_LEVEL_MAPPING = LevelMapping(atom_level=level)
 
 
 # --- bounded samplers ----------------------------------------------------------

@@ -267,10 +267,6 @@ def is_ground(t: Term) -> bool:
     return all(is_ground(a) for a in t.args)
 
 
-def atom_is_ground(a: Atom) -> bool:
-    return all(is_ground(t) for t in a.args)
-
-
 def term_depth(t: Term) -> int:
     """Constructor nesting depth; constants and variables are 0."""
     if isinstance(t, Var) or not t.args:
@@ -323,6 +319,47 @@ def instantiate_atom(tpl: tuple, slots) -> Atom:
                              for t in args]))
 
 
+def match_template(tpl: tuple, a: Atom, slots) -> Optional[list]:
+    """A copy of slots with its empty (None) slots filled so that
+    instantiate_atom(tpl, copy) is a, or None if no filling does that.
+    Slots already filled must agree with a, and a compound of tpl never
+    matches a variable of a."""
+    pred, args = tpl
+    if pred != a.pred or len(args) != len(a.args):
+        return None
+    out = list(slots)
+    todo = list(zip(args, a.args))
+    while todo:
+        p, g = todo.pop()
+        if p.__class__ is int:
+            bound = out[p]
+            if bound is None:
+                out[p] = g
+            elif bound != g:
+                return None
+        elif p.__class__ is tuple:
+            if g.__class__ is not Compound or p[0] != g.functor or len(p[1]) != len(g.args):
+                return None
+            todo.extend(zip(p[1], g.args))
+        elif p != g:
+            return None
+    return out
+
+
+def slot_walk(args) -> list:
+    """(leaf, nesting) for each leaf of the argument templates args, left to
+    right: a leaf is a slot or a ground term, and its nesting is the number
+    of compounds around it."""
+    out, todo = [], [(t, 0) for t in reversed(args)]
+    while todo:
+        t, at = todo.pop()
+        if t.__class__ is tuple:
+            todo.extend((u, at + 1) for u in reversed(t[1]))
+        else:
+            out.append((t, at))
+    return out
+
+
 # --- canonical printing -------------------------------------------------------
 
 def format_term(t: Term) -> str:
@@ -360,7 +397,3 @@ def format_clause(c: Clause) -> str:
 
 def format_query(q: Query) -> str:
     return ", ".join(format_atom(a) for a in q.atoms)
-
-
-def format_program(p: Program) -> str:
-    return "\n".join(format_clause(c) for c in p.clauses) + "\n"

@@ -1,7 +1,9 @@
 """Most-general unification with a switchable occur-check.
 
 Two layers: a trail-based in-place unifier used by the resolution engine,
-and `mgu`/`unify_atoms` which return idempotent substitutions.
+and `mgu`/`unify_atoms` which return idempotent substitutions. One-way
+matching of clause instances lives with the slot templates, in
+`terms.match_template`.
 
 With occur_check=False the per-binding occurs scan is skipped, but a cyclic
 binding set is still rejected after the fact: this artifact never builds
@@ -14,8 +16,7 @@ lemma (Apt and Pellegrini 1994) such a unification never reaches an
 occurs test, so it runs without the scan; with the check off, it closes
 no cycle, so the cyclic rescan may skip the certified arguments in front
 of the first uncertified one. The engine certifies renamed clause heads
-this way; `mgu`, `unify_atoms` and `match_atom` pass no flag and keep the
-full check.
+this way; `mgu` and `unify_atoms` pass no flag and keep the full check.
 """
 
 from dataclasses import dataclass
@@ -207,31 +208,3 @@ def unify_atoms(a1: Atom, a2: Atom, opts: UnifyOptions = UnifyOptions()) -> Opti
     if not try_unify_atoms(a1, a2, bindings, trail, opts.occur_check):
         return None
     return _to_substitution(bindings, trail)
-
-
-def _match_into(pattern: Term, ground: Term, out: dict) -> bool:
-    """Extend out in place so that pattern matches ground; False if it cannot."""
-    stack = [(pattern, ground)]
-    while stack:
-        p, g = stack.pop()
-        if isinstance(p, Var):
-            bound = out.get(p)
-            if bound is None:
-                out[p] = g
-            elif bound != g:
-                return False
-        else:
-            if not isinstance(g, Compound) or p.functor != g.functor or len(p.args) != len(g.args):
-                return False
-            stack.extend(zip(p.args, g.args))
-    return True
-
-
-def match_atom(pattern: Atom, fact: Atom, subst: Optional[dict] = None) -> Optional[dict]:
-    if pattern.pred != fact.pred or len(pattern.args) != len(fact.args):
-        return None
-    out = dict(subst) if subst else {}
-    for p, g in zip(pattern.args, fact.args):
-        if not _match_into(p, g, out):
-            return None
-    return out

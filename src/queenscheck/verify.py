@@ -11,13 +11,16 @@ silently passing.
 import random
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .herbrand import (
     DEFAULT_MAX_INSTANCES,
     ResourceCapError,
+    body_reads,
     count_terms,
+    depth_profile,
     enumerate_terms,
+    join_body,
     tp_fixpoint,
 )
 from .specs import (
@@ -42,11 +45,7 @@ from .terms import (
     Signature,
     Term,
     Var,
-    apply_subst_atom,
-    atom_depth,
-    atom_vars,
     clause_template,
-    clause_vars,
     NIL,
     cons,
     format_atom,
@@ -54,11 +53,11 @@ from .terms import (
     format_term,
     instantiate_atom,
     make_list,
+    match_template,
     members,
     numeral,
     term_depth,
 )
-from .unify import match_atom
 
 
 @dataclass
@@ -115,8 +114,7 @@ def report_record(r: CheckReport) -> dict:
     }
 
 
-def _sample_index(spec: SpecSet, sig: Signature, depth: int,
-                  limit: Optional[int] = None):
+def _sample_index(spec: SpecSet, sig: Signature, depth: int):
     """Sampled slice of the spec set, deduplicated and indexed by predicate;
     each predicate's atoms stay in sampler order, so scans over them do not
     depend on string hashing."""
@@ -127,68 +125,28 @@ def _sample_index(spec: SpecSet, sig: Signature, depth: int,
             continue
         seen.add(a)
         by_pred.setdefault(a.pred, []).append(a)
-        if limit is not None and len(seen) >= limit:
-            break
     return by_pred, len(seen)
 
 
-def _body_candidates(body, subst, by_pred, contains) -> Iterator[dict]:
-    """Substitutions grounding the body with every atom inside the spec;
-    body holds (atom, its variables) pairs. Atoms with an unbound variable
-    are matched against the sampled slice, ground ones are decided by the
-    membership predicate directly."""
-    if not body:
-        yield subst
-        return
-    (first, first_vars), rest = body[0], body[1:]
-    if all(v in subst for v in first_vars):
-        if contains(apply_subst_atom(subst, first)):
-            yield from _body_candidates(rest, subst, by_pred, contains)
-        return
-    for fact in by_pred.get(first.pred, ()):
-        ext = match_atom(first, fact, subst)
-        if ext is not None:
-            yield from _body_candidates(rest, ext, by_pred, contains)
-
-
-def _var_budgets(c: Clause, max_depth: int) -> Optional[dict]:
-    """Max term depth each clause variable may take so that every atom of the
-    instance stays within max_depth; None if the skeleton alone exceeds it."""
-    budgets: dict = {}
-
-    def visit(t: Term, at: int):
-        if isinstance(t, Var):
-            budgets[t] = min(budgets.get(t, max_depth), max_depth - at)
-        else:
-            for a in t.args:
-                visit(a, at + 1)
-
-    for atom in (c.head, *c.body):
-        if atom_depth(atom) > max_depth:
-            return None
-        for arg in atom.args:
-            visit(arg, 0)
-    if any(b < 0 for b in budgets.values()):
+def _uniform_pools(head: tuple, sig: Signature, depth: int, budget: int):
+    """Per-slot term pools for scanning the instances of a unit clause with
+    head template head: each slot's depth is capped so that the head stays
+    within depth, and further by the largest uniform depth f whose product
+    fits in the budget. Returns (pools, f) or None."""
+    skeleton, nesting = depth_profile(head)
+    if skeleton > depth:
         return None
-    return budgets
-
-
-def _uniform_pools(c: Clause, sig: Signature, depth: int, budget: int):
-    """Per-variable term pools for scanning a clause's instances: the depth
-    cap per variable, further capped by the largest uniform depth f whose
-    product fits in the budget. Returns (pools, f) or None."""
-    budgets = _var_budgets(c, depth)
-    if budgets is None:
-        return None
-    vs = clause_vars(c)
+    # every variable of a unit clause is in its head, so nesting has a cap
+    # for each slot, in slot order
+    caps = [depth - n for _, n in nesting]
     for f in range(depth, -1, -1):
         total = 1
-        for v in vs:
-            total *= count_terms(sig, min(budgets[v], f))
+        for cap in caps:
+            total *= count_terms(sig, min(cap, f))
             if total > budget:
                 break
         if total <= budget:
-            pools = [tuple(enumerate_terms(sig, min(budgets[v], f))) for v in vs]
+            pools = [tuple(enumerate_terms(sig, min(cap, f))) for cap in caps]
             return pools, f
     return None
 
@@ -224,7 +182,7 @@ def check_model(program: Program, spec: SpecSet,
             break
         vs, head_tpl, body_tpls = clause_template(c)
         if not c.body:
-            got = _uniform_pools(c, sig, depth, share)
+            got = _uniform_pools(head_tpl, sig, depth, share)
             if got is None:
                 report.capped = True
                 report.parameters[f"clause_{ci}_scan"] = "skipped: over budget"
@@ -248,9 +206,9 @@ def check_model(program: Program, spec: SpecSet,
                 report.parameters["sampled_slice"] = n_sampled
             report.parameters[f"clause_{ci}_scan"] = "body-directed over sampled slice"
             capped = False
-            body = tuple((b, atom_vars(b)) for b in c.body)
-            for sub in _body_candidates(body, {}, by_pred, spec.contains):
-                slots = [sub.get(v) for v in vs]
+            body = body_reads(body_tpls)
+            sources = [(by_pred, spec.contains)] * len(body)
+            for slots in join_body(body, [None] * len(vs), sources):
                 free = [i for i, t in enumerate(slots) if t is None]
                 for combo in product(fillers, repeat=len(free)):
                     report.instances_examined += 1
@@ -287,10 +245,7 @@ def _coverer(program: Program, spec: SpecSet, sig: Signature, depth: int):
     compiled = []
     for c in program.clauses:
         vs, head_tpl, body_tpls = clause_template(c)
-        index = {v: i for i, v in enumerate(vs)}
-        body = tuple((tpl, [index[v] for v in atom_vars(b)])
-                     for tpl, b in zip(body_tpls, c.body))
-        compiled.append((c, vs, head_tpl, body))
+        compiled.append((c, len(vs), head_tpl, body_reads(body_tpls)))
     extra = list(filler_terms(sig, 2)) + [numeral(n) for n in range(0, depth + 1)]
 
     def pool_for(a: Atom) -> tuple:
@@ -312,8 +267,8 @@ def _coverer(program: Program, spec: SpecSet, sig: Signature, depth: int):
             nonlocal pool
             if k == len(body):
                 return True
-            tpl, vars_k = body[k]
-            free = [i for i in vars_k if slots[i] is None]
+            tpl, reads = body[k]
+            free = [i for i in reads if slots[i] is None]
             if not free:
                 return (spec.contains(instantiate_atom(tpl, slots))
                         and ground_body(body, k + 1, slots))
@@ -329,12 +284,11 @@ def _coverer(program: Program, spec: SpecSet, sig: Signature, depth: int):
                 slots[i] = None
             return False
 
-        for c, vs, head_tpl, body in compiled:
+        for c, n, head_tpl, body in compiled:
             # a is ground, so matching the head gives the unifier
-            theta = match_atom(c.head, a)
-            if theta is None:
+            slots = match_template(head_tpl, a, [None] * n)
+            if slots is None:
                 continue
-            slots = [theta.get(v) for v in vs]
             if ground_body(body, 0, slots):
                 return CoverWitness(c, Clause(instantiate_atom(head_tpl, slots),
                                               tuple(instantiate_atom(b, slots)

@@ -1,4 +1,4 @@
-"""Resolution engine: answers, selection rules, depth limits, traces."""
+"""Resolution engine: answers, selection rules, depth limits."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +7,6 @@ from queenscheck.engine import (
     Answer,
     SearchTruncated,
     SolveOptions,
-    derivation_trace,
     solve,
     solve_answers,
 )
@@ -22,10 +21,12 @@ from queenscheck.terms import (
     Var,
     apply_subst,
     atom_vars,
+    clause_template,
     format_query,
     format_term,
+    match_template,
 )
-from queenscheck.unify import match_atom, unify_atoms
+from queenscheck.unify import unify_atoms
 
 
 def test_zero_row_query_single_answer_unbound():
@@ -51,11 +52,13 @@ def test_answers_subsume_two_queens_shape():
     )
     expected = parse_query("pqs(2,[1,_,2,_],[_,_,2|_],[_,_,1,2|_])").atoms[0]
     # some answer subsumes the expected shape: the shape is an instance of
-    # the answer atom (the shape's own variables act as fresh constants)
-    assert any(
-        match_atom(a.instantiated_query.atoms[0], expected) is not None
-        for a in answers
-    )
+    # the answer atom (the shape's own variables act as fresh constants,
+    # since a slot may take a variable but a compound never matches one)
+    def subsumes(answer):
+        vs, tpl, _ = clause_template(Clause(answer.instantiated_query.atoms[0]))
+        return match_template(tpl, expected, [None] * len(vs)) is not None
+
+    assert any(subsumes(a) for a in answers)
 
 
 def test_undeclared_predicate_rejected():
@@ -114,28 +117,6 @@ def test_answers_reparse():
         for v, t in a.substitution:
             reparsed = parse_term(format_term(t))
             assert format_term(reparsed) == format_term(t)
-
-
-def test_trace_zero_row_single_step():
-    trace = derivation_trace(nqueens_program(), parse_query("pqs(0, X, Y, Z)"))
-    assert trace is not None and len(trace) == 1
-    assert trace[0].clause.head.pred == "pqs"
-
-
-def test_trace_n1_finite_and_steps_sound():
-    trace = derivation_trace(nqueens_program(), initial_query(1))
-    assert trace is not None and 0 < len(trace) < 50
-    for step in trace:
-        # the recorded unifier must actually unify goal atom and clause head:
-        # re-verify by unifying the selected goal with a fresh head copy
-        assert step.clause in nqueens_program().clauses
-        for v, t in step.unifier:
-            assert isinstance(v, Var)
-
-
-def test_trace_none_when_no_answer():
-    p = parse_program("p(a).")
-    assert derivation_trace(p, parse_query("p(b)")) is None
 
 
 # --- the occur-check path -------------------------------------------------------
@@ -273,5 +254,3 @@ def test_long_derivation_does_not_recurse():
     p = parse_program("len([], 0). len([_|T], s(N)) :- len(T, N).")
     (ans,) = solve_answers(p, parse_query("len(L, 330)"))
     assert format_query(ans.instantiated_query).count(",") == 330
-    trace = derivation_trace(p, parse_query("len(L, 330)"))
-    assert len(trace) == 331

@@ -12,14 +12,16 @@ from queenscheck.herbrand import (
     tp_fixpoint,
 )
 from queenscheck.parser import parse_program
-from queenscheck.queens import nqueens_program, pq_fragment
+from queenscheck.queens import nqueens_program
 from queenscheck.specs import in_s_pq, spec_set
 from queenscheck.terms import (
     Atom,
+    Clause,
     Compound,
     Var,
     apply_subst_atom,
     atom_depth,
+    clause_template,
     DEFAULT_SIGNATURE,
     MINIMAL_SIGNATURE,
     NIL,
@@ -33,6 +35,11 @@ from queenscheck.terms import (
 from queenscheck.verify import check_model
 
 SIG = DEFAULT_SIGNATURE
+
+
+def pq_fragment():
+    """The pq clauses of the program, as the CLI's fixpoint suite takes them."""
+    return Program(nqueens_program().clauses_for("pq"))
 
 
 def test_enumerate_depth0_is_constants():
@@ -139,11 +146,14 @@ _VARS = [Var("A"), Var("B"), Var("C")]
 @given(st.lists(_terms(_VARS + [Compound("a")]), max_size=3),
        st.lists(st.one_of(st.none(), _terms([Compound("a"), NIL], 2)),
                 min_size=3, max_size=3))
-def test_bound_depth_is_skeleton_depth_of_the_partial_instance(args, slots):
+def test_bound_depth_is_skeleton_depth_of_the_partial_instance(args, values):
     # tp_fixpoint's head-depth pre-check, against building the instance
     head = Atom("p", tuple(args))
-    profile = depth_profile(head, {v: i for i, v in enumerate(_VARS)})
-    sub = {v: t for v, t in zip(_VARS, slots) if t is not None}
+    vs, tpl, _ = clause_template(Clause(head))
+    profile = depth_profile(tpl)
+    assert profile[0] == atom_depth(head)
+    slots = values[:len(vs)]
+    sub = {v: t for v, t in zip(vs, slots) if t is not None}
     assert bound_depth(profile, slots) == atom_depth(apply_subst_atom(sub, head))
 
 

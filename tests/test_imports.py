@@ -1,0 +1,38 @@
+"""Module boundaries of the package, read from its sources with `ast`."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "queenscheck"
+
+
+def _imports(path):
+    """(module, name imported from it or None) for each import in path;
+    modules of the package are named without the package."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("queenscheck.")
+            if module in ("", "queenscheck"):  # from . import unify
+                out.extend((alias.name, None) for alias in node.names)
+            else:
+                out.extend((module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            out.extend((alias.name.removeprefix("queenscheck."), None)
+                       for alias in node.names)
+    return out
+
+
+def test_no_module_imports_a_private_name():
+    bad = [f"{path.name}: {module}.{name}"
+           for path in sorted(SRC.glob("*.py"))
+           for module, name in _imports(path)
+           if name is not None and name.startswith("_")]
+    assert bad == []
+
+
+def test_checkers_do_not_import_unify():
+    # verify and herbrand build and match clause instances on slot
+    # templates; unification belongs to the resolution engine
+    for name in ("verify.py", "herbrand.py"):
+        assert "unify" not in [module for module, _ in _imports(SRC / name)]

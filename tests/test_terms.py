@@ -1,7 +1,7 @@
 """Term model: numerals, lists, substitutions, depth, printing."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from queenscheck.terms import (
     Atom,
@@ -19,7 +19,6 @@ from queenscheck.terms import (
     apply_subst,
     apply_subst_atom,
     atom_depth,
-    atom_is_ground,
     clause_template,
     clause_vars,
     cons,
@@ -32,12 +31,14 @@ from queenscheck.terms import (
     is_proper_list,
     kth_member,
     make_list,
+    match_template,
     members,
     numeral,
     numeral_value,
     term_depth,
     term_vars,
 )
+from queenscheck.unify import unify_atoms
 
 X, Y, V = Var("X"), Var("Y"), Var("V")
 a, b = Compound("a"), Compound("b")
@@ -122,8 +123,8 @@ def test_term_vars_first_occurrence_order():
 def test_groundness():
     assert is_ground(make_list([numeral(1), a]))
     assert not is_ground(cons(X, NIL))
-    assert atom_is_ground(Atom("pq", (ZERO, NIL, NIL, NIL)))
-    assert not atom_is_ground(Atom("pq", (X,)))
+    assert all(is_ground(t) for t in Atom("pq", (ZERO, NIL, NIL, NIL)).args)
+    assert not all(is_ground(t) for t in Atom("pq", (X,)).args)
 
 
 def test_depths():
@@ -214,3 +215,39 @@ def test_clause_template_agrees_with_apply_subst(head, body, data):
     assert instantiate_atom(head_tpl, slots) == apply_subst_atom(sub, head)
     assert [instantiate_atom(t, slots) for t in body_tpls] == \
         [apply_subst_atom(sub, x) for x in body]
+
+
+def _p(*args):
+    return Atom("p", args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_atoms("p", [Var("A"), Var("B"), Var("C"), a]),
+       st.lists(_terms([a, b, numeral(1)], 2), min_size=3, max_size=3),
+       _atoms("p", [a, b, NIL]))
+@example(_p(cons(X, Y)), [a, NIL, a], _p(make_list([a])))
+@example(_p(cons(X, X)), [a, a, a], _p(cons(a, NIL)))
+@example(_p(a), [a, a, a], _p(NIL))
+# a numeral's functor is never bound: s(0) does not match s(s(0))
+@example(_p(numeral(1)), [a, a, a], _p(numeral(2)))
+@example(Atom("pq", (X, cons(X, Y))), [a, make_list([NIL]), a], Atom("pqs", (a, a)))
+def test_match_template(pattern, values, other):
+    vs, tpl, _ = clause_template(Clause(pattern))
+    slots = values[:len(vs)]
+    fact = instantiate_atom(tpl, slots)
+    none = [None] * len(vs)
+    # filling the slots and matching the result gives them back, from no
+    # slot filled or from any one filled slot that agrees
+    assert match_template(tpl, fact, none) == slots
+    for i in range(len(vs)):
+        part = none[:]
+        part[i] = slots[i]
+        assert match_template(tpl, fact, part) == slots
+        part[i] = Compound("c")  # never one of the values
+        assert match_template(tpl, fact, part) is None
+    assert match_template(tpl, Atom("q", fact.args), none) is None
+    assert match_template(tpl, Atom("p", fact.args + (a,)), none) is None
+    # against a ground atom, one-way matching gives the unifier
+    theta = unify_atoms(pattern, other)
+    assert match_template(tpl, other, none) == (
+        None if theta is None else [theta[v] for v in vs])

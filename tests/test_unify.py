@@ -1,4 +1,4 @@
-"""Unification: soundness, idempotence, occur-check modes, matching."""
+"""Unification: soundness, idempotence, occur-check modes."""
 
 from hypothesis import given, strategies as st
 
@@ -10,14 +10,12 @@ from queenscheck.terms import (
     Var,
     apply_subst,
     cons,
-    make_list,
     numeral,
     term_vars,
 )
 from queenscheck.unify import (
     UnifyOptions,
     bindings_cyclic,
-    match_atom,
     mgu,
     unify_atoms,
 )
@@ -112,28 +110,6 @@ def test_occur_check_off_ends_on_cyclic_bindings():
     t2 = parse_term("p(Z,f(g(g(Z,Z),f(Z))),f(Z))")
     assert mgu(t1, t2) is None
     assert mgu(t1, t2, UnifyOptions(occur_check=False)) is None
-
-
-def test_match_atom_one_way():
-    def p(*args):
-        return Atom("p", args)
-
-    assert match_atom(p(cons(X, Y)), p(make_list([a]))) == {X: a, Y: NIL}
-    assert match_atom(p(cons(X, X)), p(cons(a, a))) == {X: a}
-    assert match_atom(p(cons(X, X)), p(cons(a, NIL))) is None
-    assert match_atom(p(a), p(NIL)) is None
-    # matching never binds target-side structure into the pattern's functor
-    assert match_atom(p(numeral(1)), p(numeral(2))) is None
-    # a given substitution is extended, never overwritten
-    assert match_atom(p(X, Y), p(a, NIL), {X: a}) == {X: a, Y: NIL}
-    assert match_atom(p(X), p(NIL), {X: a}) is None
-
-
-def test_match_atom():
-    pat = Atom("pq", (X, cons(X, Y)))
-    fact = Atom("pq", (a, make_list([a, NIL])))
-    assert match_atom(pat, fact) == {X: a, Y: make_list([NIL])}
-    assert match_atom(pat, Atom("pqs", (a, a))) is None
 
 
 def test_bindings_cyclic_long_chain():

@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from queenscheck.parser import parse_program, parse_query, parse_term
-from queenscheck.queens import mutant_program, nqueens_program, pq_fragment
+from queenscheck.queens import mutant_program, nqueens_program
 from queenscheck.specs import (
     LevelMapping,
     SpecSet,
@@ -15,14 +15,13 @@ from queenscheck.specs import (
     sample_s_pq,
     sample_s_pqs,
     spec_set,
-    term_size,
 )
 from queenscheck.terms import (
     Atom,
     DEFAULT_SIGNATURE,
     Program,
-    atom_is_ground,
     format_atom,
+    is_ground,
 )
 from queenscheck.verify import (
     CheckReport,
@@ -38,6 +37,11 @@ from queenscheck.verify import (
 )
 
 SIG = DEFAULT_SIGNATURE
+
+
+def pq_fragment():
+    """The pq clauses of the program, as the CLI's fixpoint suite takes them."""
+    return Program(nqueens_program().clauses_for("pq"))
 
 
 def _atom(text):
@@ -115,7 +119,7 @@ def test_check_covered_two_queens_witness_reverifiable():
     assert w is not None
     # the witness is a ground clause instance with head = a and body in the spec
     assert w.instance.head == a
-    assert w.instance.body and all(atom_is_ground(b) for b in w.instance.body)
+    assert w.instance.body and all(is_ground(t) for b in w.instance.body for t in b.args)
     assert all(spec.contains(b) for b in w.instance.body)
 
 
@@ -147,7 +151,7 @@ def test_completeness_nqueens_small_sample():
 
 def test_recurrent_self_loop_fails():
     p = parse_program("p(X) :- p(X).")
-    lm = LevelMapping(atom_level=lambda a: 0, term_size=term_size)
+    lm = LevelMapping(atom_level=lambda a: 0)
     r = check_recurrent(p, lm, SIG, depth=1, max_instances=100)
     assert r.verdict == "fail"
 
