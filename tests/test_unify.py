@@ -1,15 +1,19 @@
-"""Unification: soundness, idempotence, occur-check modes."""
+"""Unification: soundness, idempotence, occur-check modes, matching."""
 
 from hypothesis import given, strategies as st
 
 from queenscheck.parser import parse_term
 from queenscheck.terms import (
     Atom,
+    Clause,
     Compound,
     NIL,
     Var,
     apply_subst,
+    clause_template,
     cons,
+    make_list,
+    match_template,
     numeral,
     term_vars,
 )
@@ -110,6 +114,36 @@ def test_occur_check_off_ends_on_cyclic_bindings():
     t2 = parse_term("p(Z,f(g(g(Z,Z),f(Z))),f(Z))")
     assert mgu(t1, t2) is None
     assert mgu(t1, t2, UnifyOptions(occur_check=False)) is None
+
+
+def _match(pattern, fact, subst=None):
+    """One-way matching of pattern against fact as a substitution, through
+    the pattern's slot template; subst fills slots before matching."""
+    vs, tpl, _ = clause_template(Clause(pattern))
+    slots = match_template(tpl, fact, [(subst or {}).get(v) for v in vs])
+    return None if slots is None else dict(zip(vs, slots))
+
+
+def test_match_atom_one_way():
+    def p(*args):
+        return Atom("p", args)
+
+    assert _match(p(cons(X, Y)), p(make_list([a]))) == {X: a, Y: NIL}
+    assert _match(p(cons(X, X)), p(cons(a, a))) == {X: a}
+    assert _match(p(cons(X, X)), p(cons(a, NIL))) is None
+    assert _match(p(a), p(NIL)) is None
+    # matching never binds target-side structure into the pattern's functor
+    assert _match(p(numeral(1)), p(numeral(2))) is None
+    # a given substitution is extended, never overwritten
+    assert _match(p(X, Y), p(a, NIL), {X: a}) == {X: a, Y: NIL}
+    assert _match(p(X), p(NIL), {X: a}) is None
+
+
+def test_match_atom():
+    pat = Atom("pq", (X, cons(X, Y)))
+    fact = Atom("pq", (a, make_list([a, NIL])))
+    assert _match(pat, fact) == {X: a, Y: make_list([NIL])}
+    assert _match(pat, Atom("pqs", (a, a))) is None
 
 
 def test_bindings_cyclic_long_chain():
