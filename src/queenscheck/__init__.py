@@ -49,7 +49,6 @@ from .specs import (
     in_s_pqs,
     level,
     spec_set,
-    term_size,
     up_diag_number,
 )
 from .verify import (

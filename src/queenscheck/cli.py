@@ -21,7 +21,7 @@ from .queens import (
     solution_line,
     solve_queens,
 )
-from .specs import exactness_pool, sample_s_pq, spec_set
+from .specs import PQ, exactness_pool, sample_s_pq, spec_set
 from .terms import (
     DEFAULT_SIGNATURE,
     Program,
@@ -78,7 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rule", choices=sorted(SELECTION_RULES), default="leftmost")
         p.add_argument("--occur-check", choices=("on", "off"), default="on")
         p.add_argument("--depth", type=_positive, default=None,
-                       help="depth limit (solve/query) or base depth (verify)")
+                       help="depth limit (solve/query) or base depth of the sampled "
+                            "verify suites (recurrent and bound ignore it)")
         p.add_argument("--format", choices=("text", "records"), default="text")
         p.add_argument("--signature", default=None, help="signature file")
 
@@ -183,7 +184,7 @@ def cmd_verify(args) -> int:
             spec = spec_set(args.spec or "s0")
             reports.append(check_completeness_condition(program, spec, sig, depth))
         elif suite == "recurrent":
-            reports.append(check_recurrent(program, sig=sig, depth=depth, **cap_kw))
+            reports.append(check_recurrent(program))
         elif suite == "bound":
             bound = check_query_bound(initial_query(args.n))
             if args.format == "records":
@@ -198,7 +199,7 @@ def cmd_verify(args) -> int:
             n_inst = args.max_instances if args.max_instances else 20_000
             reports.append(check_row_shift(sig, n_instances=n_inst))
         elif suite == "fixpoint":
-            fragment = Program(program.clauses_for("pq"))
+            fragment = Program(program.clauses_for(PQ))
             pool = exactness_pool(sig)
             expected = sample_s_pq(sig, depth, pool=pool, max_spine=depth)
             reports.append(check_fixpoint_exactness(fragment, expected, sig,

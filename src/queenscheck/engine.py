@@ -9,9 +9,9 @@ current branch: its goals, the resolution steps that led to it, the
 selected goal, the index of the next clause to try on that goal, and the
 trail mark to undo to before trying it. Expanding a resolvent pushes a
 frame, and a frame whose clauses are used up is popped, which is
-backtracking. The stack lives on the heap, so the search itself does not
-deepen the Python stack (the walkers that build an answer's terms still
-recurse once per term level). `solve` streams the machine's answers.
+backtracking. The stack lives on the heap, and the walkers that build an
+answer's terms are iterative too, so neither a long derivation nor a deep
+answer term deepens the Python stack. `solve` streams the machine's answers.
 
 Each predicate's clauses are compiled once per call: the clause's
 variables, a template that renames it apart, and, per head argument, its
@@ -35,7 +35,6 @@ from .terms import (
     Clause,
     Program,
     Query,
-    Substitution,
     Var,
     apply_subst,
     apply_subst_atom,
@@ -67,9 +66,6 @@ class SolveOptions:
 class Answer:
     substitution: tuple  # sorted ((Var, Term), ...) restricted to query vars
     instantiated_query: Query
-
-    def subst_dict(self) -> Substitution:
-        return dict(self.substitution)
 
 
 @dataclass(frozen=True)
@@ -107,11 +103,8 @@ def _answer(query: Query, qvars, bindings: dict) -> Answer:
     inst = Query(tuple(resolve_atom(a, bindings) for a in query.atoms))
     ren = _canonical_renaming(inst, qvars)
     inst = Query(tuple(apply_subst_atom(ren, a) for a in inst.atoms))
-    subst = tuple(
-        (v, apply_subst(ren, resolve(v, bindings)))
-        for v in qvars
-        if resolve(v, bindings) != v
-    )
+    subst = tuple((v, apply_subst(ren, t)) for v in qvars
+                  if (t := resolve(v, bindings)) != v)
     return Answer(subst, inst)
 
 

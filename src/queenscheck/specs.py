@@ -20,6 +20,7 @@ from .terms import (
     NIL,
     Signature,
     Term,
+    Var,
     cons,
     distinct_members,
     kth_member,
@@ -172,26 +173,36 @@ def spine(t: Term) -> tuple:
     return n, t
 
 
-def term_size(t: Term) -> int:
-    """Spine length: 1 + size of the tail for cons and s, 0 for anything else."""
-    return spine(t)[0]
-
-
 @dataclass(frozen=True)
 class LevelMapping:
-    atom_level: Callable[[Atom], int]
+    """A level mapping linear in term sizes, where the size of a term is
+    the number of cells of its spine (`spine`)."""
+
+    weights: dict  # (pred, arity) -> ((argument position, coefficient), ...)
+
+    def linear_form(self, a: Atom) -> tuple:
+        """(constant, {variable: coefficient}): every ground instance of a
+        has level constant + sum of coefficient * size(variable), as a spine
+        of n cells ending in X has size n + size(X)."""
+        key = (a.pred, len(a.args))
+        if key not in self.weights:
+            raise ValueError(f"no level defined for predicate {a.pred}/{len(a.args)}")
+        constant, coefficients = 0, {}
+        for position, c in self.weights[key]:
+            n, end = spine(a.args[position])
+            constant += c * n
+            if isinstance(end, Var):
+                coefficients[end] = coefficients.get(end, 0) + c
+        return constant, coefficients
+
+    def atom_level(self, a: Atom) -> int:
+        """The level of a ground atom."""
+        return self.linear_form(a)[0]
 
 
-def level(a: Atom) -> int:
-    """Level of a pqs atom is size(arg1) + size(arg2); of a pq atom, size(arg2)."""
-    if a.pred == PQS and len(a.args) == 4:
-        return term_size(a.args[0]) + term_size(a.args[1])
-    if a.pred == PQ and len(a.args) == 4:
-        return term_size(a.args[1])
-    raise ValueError(f"no level defined for predicate {a.pred}/{len(a.args)}")
-
-
-QUEENS_LEVEL_MAPPING = LevelMapping(atom_level=level)
+#: |pqs(I,Cs,_,_)| = size(I) + size(Cs) and |pq(_,Cs,_,_)| = size(Cs).
+QUEENS_LEVEL_MAPPING = LevelMapping({(PQS, 4): ((0, 1), (1, 1)), (PQ, 4): ((1, 1),)})
+level = QUEENS_LEVEL_MAPPING.atom_level
 
 
 # --- bounded samplers ----------------------------------------------------------

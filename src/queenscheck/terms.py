@@ -214,11 +214,25 @@ Substitution = dict  # Var -> Term
 
 
 def apply_subst(s: Substitution, t: Term) -> Term:
-    if isinstance(t, Var):
-        return s.get(t, t)
-    if not t.args:
-        return t
-    return Compound(t.functor, tuple(apply_subst(s, a) for a in t.args))
+    """t with each variable v in s replaced by s[v]; iterative, so term
+    depth is not bounded by the Python stack."""
+    done: list = []  # finished subterms, left to right
+    todo = [t]  # subterms to visit, and (functor, arity) to build from done
+    while todo:
+        u = todo.pop()
+        if u.__class__ is tuple:
+            functor, n = u
+            args = tuple(done[len(done) - n:])
+            del done[len(done) - n:]
+            done.append(Compound(functor, args))
+        elif isinstance(u, Var):
+            done.append(s.get(u, u))
+        elif not u.args:
+            done.append(u)
+        else:
+            todo.append((u.functor, len(u.args)))
+            todo.extend(reversed(u.args))
+    return done[0]
 
 
 def apply_subst_atom(s: Substitution, a: Atom) -> Atom:
@@ -229,12 +243,14 @@ def term_vars(t: Term, acc=None):
     """Variables in order of first occurrence."""
     if acc is None:
         acc = []
-    if isinstance(t, Var):
-        if t not in acc:
-            acc.append(t)
-    else:
-        for a in t.args:
-            term_vars(a, acc)
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        if isinstance(u, Var):
+            if u not in acc:
+                acc.append(u)
+        else:
+            todo.extend(reversed(u.args))
     return acc
 
 

@@ -171,11 +171,25 @@ def try_unify_atoms(a1: Atom, a2: Atom, bindings: dict, trail: list,
 
 
 def resolve(t: Term, bindings: dict) -> Term:
-    """Fully apply bindings to t (bindings must be acyclic)."""
-    t = walk(t, bindings)
-    if isinstance(t, Var) or not t.args:
-        return t
-    return Compound(t.functor, tuple(resolve(a, bindings) for a in t.args))
+    """Fully apply bindings to t (bindings must be acyclic); iterative, so
+    term depth is not bounded by the Python stack."""
+    done: list = []  # finished subterms, left to right
+    todo = [t]  # subterms to visit, and (functor, arity) to build from done
+    while todo:
+        u = todo.pop()
+        if u.__class__ is tuple:
+            functor, n = u
+            args = tuple(done[len(done) - n:])
+            del done[len(done) - n:]
+            done.append(Compound(functor, args))
+            continue
+        u = walk(u, bindings)
+        if isinstance(u, Var) or not u.args:
+            done.append(u)
+        else:
+            todo.append((u.functor, len(u.args)))
+            todo.extend(reversed(u.args))
+    return done[0]
 
 
 def resolve_atom(a: Atom, bindings: dict) -> Atom:

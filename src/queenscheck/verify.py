@@ -1,11 +1,11 @@
-"""Bounded verification checks for programs against specification sets.
+"""Verification checks for programs against specification sets.
 
-Every check quantifies over a finite, deterministic slice of ground
-instances and returns a CheckReport. A reported counterexample is a real
-one (the checks never guess); a pass is relative to the slice recorded in
-the report's parameters. Budgets make exhaustion explicit: a check that
-runs out of instances reports the verdict "resource-capped" instead of
-silently passing.
+Every check returns a CheckReport whose counterexamples are real ones (the
+checks never guess). `check_recurrent` proves its verdict for all ground
+instances; the other checks scan a finite, deterministic slice of ground
+instances, and a pass is relative to the slice recorded in the report's
+parameters. A check that runs out of its instance budget reports the
+verdict "resource-capped" instead of silently passing.
 """
 
 import random
@@ -33,18 +33,15 @@ from .specs import (
     filler_terms,
     letter_terms,
     safe_placements,
-    spine,
 )
 from .terms import (
     Atom,
     Clause,
-    Compound,
     DEFAULT_SIGNATURE,
     Program,
     Query,
     Signature,
-    Term,
-    Var,
+    ZERO,
     clause_template,
     NIL,
     cons,
@@ -56,18 +53,17 @@ from .terms import (
     match_template,
     members,
     numeral,
-    term_depth,
 )
 
 
 @dataclass
 class CheckReport:
-    """Outcome of one bounded check.
+    """Outcome of one check.
 
     The verdict is derived: "fail" if any counterexample was found,
     "resource-capped" if the instance budget ran out before the slice was
-    exhausted, and "pass" otherwise. A pass certifies only the slice
-    described by `parameters`.
+    exhausted, and "pass" otherwise. A pass of a bounded check certifies
+    only the slice described by `parameters`.
     """
 
     check_name: str
@@ -334,103 +330,66 @@ def check_completeness_condition(program: Program, spec: SpecSet,
     return report
 
 
-def _recurrence_pool(sig: Signature, depth: int) -> tuple:
-    """Probe terms up to the given depth, most structurally informative
-    first so budget truncation keeps the interesting ones."""
-    fill = filler_terms(sig, 2)
-    a = fill[-1]
-    pool = [numeral(1), make_list([a])] + list(fill)
-    if depth >= 2:
-        pool.extend([numeral(2), make_list([a, fill[0]]), Compound("cons", (a, a))])
-    if depth >= 3:
-        pool.append(make_list([a, fill[0], a]))
-    seen, out = set(), []
-    for t in pool:
-        if t not in seen and term_depth(t) <= depth:
-            seen.add(t)
-            out.append(t)
-    return tuple(out)
-
-
-def check_recurrent(program: Program, lm: LevelMapping = QUEENS_LEVEL_MAPPING,
-                    sig: Signature = DEFAULT_SIGNATURE, depth: int = 4,
-                    max_instances: int = DEFAULT_MAX_INSTANCES) -> CheckReport:
-    """Every scanned ground instance strictly decreases the level from head
-    to each body atom. Unit clauses are trivially recurrent; instances are
-    drawn from a structured probe pool (constants, numerals, short lists)."""
-    pool = _recurrence_pool(sig, depth)
-    report = CheckReport(
-        "check_recurrent",
-        parameters={"depth": depth, "probe_pool_size": len(pool),
-                    "max_instances": max_instances},
-    )
+def check_recurrent(program: Program,
+                    lm: LevelMapping = QUEENS_LEVEL_MAPPING) -> CheckReport:
+    """Proof that in every ground instance of every clause each body atom
+    has a lower level than the head. Head level minus body level is a
+    linear form in the sizes of the clause's variables, at least 1 on every
+    ground instance exactly when its constant is at least 1 and no
+    coefficient is negative (Bezem 1989; Apt and Pedreschi 1993). A failing
+    form comes with a ground instance whose levels do not decrease: its
+    variables are 0, or a long enough numeral where the coefficient is
+    negative."""
+    report = CheckReport("check_recurrent")
     for ci, c in enumerate(program.clauses):
-        if not c.body:
-            continue
-        vs, head_tpl, body_tpls = clause_template(c)
-        share = max_instances - report.instances_examined
-        n = len(pool)
-        while n > 1 and n ** len(vs) > share:
-            n -= 1
-        if n ** len(vs) > share:
-            report.capped = True
-            break
-        report.parameters[f"clause_{ci}_pool"] = n
-        for combo in product(pool[:n], repeat=len(vs)):
+        for bi, b in enumerate(c.body):
             report.instances_examined += 1
-            head = instantiate_atom(head_tpl, combo)
+            where = {"clause": format_clause(c), "body_atom": format_atom(b)}
             try:
-                hl = lm.atom_level(head)
-                for b in body_tpls:
-                    bi = instantiate_atom(b, combo)
-                    if lm.atom_level(bi) >= hl:
-                        report.add_counterexample({
-                            "clause": format_clause(c),
-                            "instance": format_clause(
-                                Clause(head, tuple(instantiate_atom(x, combo)
-                                                   for x in body_tpls))
-                            ),
-                            "reason": f"level {lm.atom_level(bi)} of a body atom "
-                                      f"is not below head level {hl}",
-                        })
-                        break
+                constant, coefficients = lm.linear_form(c.head)
+                b_constant, b_coefficients = lm.linear_form(b)
             except ValueError as e:
-                report.add_counterexample({
-                    "clause": format_clause(c),
-                    "reason": str(e),
-                })
-                break
+                report.add_counterexample({**where, "reason": str(e)})
+                continue
+            constant -= b_constant
+            coefficients = {v: coefficients.get(v, 0) - b_coefficients.get(v, 0)
+                            for v in {**coefficients, **b_coefficients}}
+            form = str(constant) + "".join(f" {'-' if k < 0 else '+'} {abs(k)}*size({v.name})"
+                                           for v, k in coefficients.items() if k)
+            report.parameters[f"clause_{ci}_body_{bi}"] = form
+            if constant >= 1 and min(coefficients.values(), default=0) >= 0:
+                continue
+            long = numeral(max(constant, 0))
+            vs, head_tpl, body_tpls = clause_template(c)
+            slots = [long if coefficients.get(v, 0) < 0 else ZERO for v in vs]
+            inst = Clause(instantiate_atom(head_tpl, slots),
+                          tuple(instantiate_atom(x, slots) for x in body_tpls))
+            report.add_counterexample({
+                **where,
+                "instance": format_clause(inst),
+                "reason": f"head level minus body level is {form}; here level "
+                          f"{lm.atom_level(inst.body[bi])} of the body atom is "
+                          f"not below head level {lm.atom_level(inst.head)}",
+            })
     return report
-
-
-def _spine_bound(t: Term) -> Optional[int]:
-    """Upper bound on term_size over all ground instances of t; None if the
-    spine is open (ends in a variable)."""
-    n, end = spine(t)
-    return None if isinstance(end, Var) else n
 
 
 def check_query_bound(query: Query,
                       lm: LevelMapping = QUEENS_LEVEL_MAPPING) -> Optional[int]:
     """Upper bound on the level of any ground instance of any query atom,
-    or None if no bound is derivable (an open spine in a measured argument
-    position can be instantiated arbitrarily deep)."""
+    or None if no bound is derivable: an atom's bound is the constant of
+    its linear form, and there is none if the predicate is unmapped or a
+    variable has a positive coefficient (an open spine in a measured
+    argument position can be instantiated arbitrarily deep)."""
     best = None
     for a in query.atoms:
-        if a.pred == "pqs" and len(a.args) == 4:
-            b1 = _spine_bound(a.args[0])
-            b2 = _spine_bound(a.args[1])
-            if b1 is None or b2 is None:
-                return None
-            bound = b1 + b2
-        elif a.pred == "pq" and len(a.args) == 4:
-            b2 = _spine_bound(a.args[1])
-            if b2 is None:
-                return None
-            bound = b2
-        else:
+        try:
+            constant, coefficients = lm.linear_form(a)
+        except ValueError:
             return None
-        best = bound if best is None else max(best, bound)
+        if any(c > 0 for c in coefficients.values()):
+            return None
+        best = constant if best is None else max(best, constant)
     return best
 
 

@@ -21,7 +21,13 @@ from queenscheck.queens import (
     nqueens_program,
     solve_queens,
 )
-from queenscheck.specs import exactness_pool, sample_s0_pqs, sample_s_pq, spec_set
+from queenscheck.specs import (
+    QUEENS_LEVEL_MAPPING,
+    exactness_pool,
+    sample_s0_pqs,
+    sample_s_pq,
+    spec_set,
+)
 from queenscheck.terms import DEFAULT_SIGNATURE, Program, numeral_value
 from queenscheck.verify import (
     check_completeness_condition,
@@ -31,6 +37,8 @@ from queenscheck.verify import (
     check_recurrent,
     check_row_shift,
 )
+
+from recurrence_oracle import enumerate_recurrent
 
 SIG = DEFAULT_SIGNATURE
 
@@ -72,13 +80,17 @@ def test_criterion_3_completeness_and_recurrence():
     budget = max(10_000, len(small_rows) + 1)
     rc = check_completeness_condition(nqueens_program(), spec_set("s0"), SIG, 4,
                                       sample_budget=budget)
-    rr = check_recurrent(nqueens_program(), sig=SIG, depth=4)
+    # recurrence is proved for every ground instance; the depth-4
+    # enumeration cross-checks the proof
+    rr = check_recurrent(nqueens_program())
+    enumerated = enumerate_recurrent(nqueens_program(), QUEENS_LEVEL_MAPPING, SIG, 4)
     ok = (rc.verdict == "pass" and rc.instances_examined >= 10_000
           and rc.instances_examined >= len(small_rows)
-          and rr.verdict == "pass")
+          and rr.verdict == "pass" and enumerated.verdict == "pass")
     _verdict(3, ok, f"coverage on {rc.instances_examined} sampled atoms "
                     f"(incl. all {len(small_rows)} small-row atoms), "
-                    f"recurrence on {rr.instances_examined} instances")
+                    f"recurrence proved for {rr.instances_examined} clause/body-atom "
+                    f"pairs and enumerated on {enumerated.instances_examined} instances")
 
 
 def test_criterion_4_row_shift_property():

@@ -182,14 +182,19 @@ def test_signature_file(capsys, tmp_path, prog_file):
 
 def test_query_long_derivation(capsys, len_file):
     # 331 resolution steps: more than the Python stack held when the engine
-    # recursed once per step
-    code, out, _ = run(capsys, "query", len_file, "len(L,330)")
-    assert code == EXIT_OK
-    assert out.splitlines()[-1] == "1 answers"
+    # recursed once per step; 2001 steps and an answer list 2000 cells long:
+    # more than it held when the answer's term walkers recursed
+    for n in (330, 2000):
+        code, out, _ = run(capsys, "query", len_file, f"len(L,{n})")
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == "1 answers"
+        assert out.count(",") == n
 
 
 def test_query_resource_exhaustion_exit(capsys, len_file):
-    # the term walkers still recurse, so a 5000-deep numeral exhausts the stack
-    code, out, err = run(capsys, "query", len_file, "len(L,5000)")
+    # the parser still recurses, so a query term nested 5000 deep exhausts
+    # the stack
+    deep = "s(" * 5000 + "0" + ")" * 5000
+    code, out, err = run(capsys, "query", len_file, f"len(L,{deep})")
     assert code == EXIT_RESOURCE
     assert err.startswith("error: ") and "Traceback" not in err

@@ -91,7 +91,7 @@ def test_answer_limit():
 def test_answer_order_is_clause_source_order():
     p = parse_program("p(a). p(b).")
     answers = solve_answers(p, parse_query("p(X)"))
-    got = [apply_subst(a.subst_dict(), Var("X")) for a in answers]
+    got = [apply_subst(dict(a.substitution), Var("X")) for a in answers]
     assert [format_term(t) for t in got] == ["a", "b"]
 
 

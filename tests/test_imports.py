@@ -36,3 +36,15 @@ def test_checkers_do_not_import_unify():
     # templates; unification belongs to the resolution engine
     for name in ("verify.py", "herbrand.py"):
         assert "unify" not in [module for module, _ in _imports(SRC / name)]
+
+
+def test_only_specs_and_queens_name_the_program_predicates():
+    # the checkers read the program's predicates through the level mapping
+    # and the spec sets, so that they work on any mapping and any program
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("specs.py", "queens.py"):
+            continue
+        strings = {node.value for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+        assert not strings & {"pqs", "pq"}, path.name
+    assert not {"PQS", "PQ"} & {name for _, name in _imports(SRC / "verify.py")}

@@ -19,11 +19,12 @@ from queenscheck.specs import (
     in_s_pq,
     in_s_pqs,
     level,
+    sample_s,
     sample_s0,
     sample_s0_pqs,
     sample_s_pq,
     spec_set,
-    term_size,
+    spine,
     up_diag_number,
 )
 from queenscheck.terms import (
@@ -159,16 +160,24 @@ def test_in_s0():
 
 
 def test_term_size_and_level():
-    assert term_size(ZERO) == 0
-    assert term_size(numeral(3)) == 3
-    assert term_size(parse_term("[1,2]")) == 2
-    assert term_size(cons(ZERO, ZERO)) == 1  # non-list tail still counts the cell
+    assert spine(ZERO) == (0, ZERO)
+    assert spine(numeral(3)) == (3, ZERO)
+    assert spine(parse_term("[1,2]")) == (2, NIL)
+    assert spine(cons(ZERO, ZERO))[0] == 1  # non-list tail still counts the cell
+    assert spine(parse_term("[a|s(X)]")) == (2, parse_term("X"))
     assert level(_atom("pqs(s(0),[1,2],0,0)")) == 3
     assert level(_atom("pq(0,[],[],[])")) == 0
     assert level(Atom("pqs", (ZERO, cons(ZERO, ZERO), ZERO, ZERO))) == 1
     with pytest.raises(ValueError):
         level(Atom("other", (ZERO,)))
-    assert QUEENS_LEVEL_MAPPING.atom_level is level
+    # the mapping's data gives the paper's level: |pqs(I,Cs,_,_)| is
+    # size(I) + size(Cs), |pq(_,Cs,_,_)| is size(Cs)
+    for a in islice(sample_s(SIG, 1), 0, None, 53):
+        sizes = [spine(t)[0] for t in a.args]
+        want = sizes[0] + sizes[1] if a.pred == "pqs" else sizes[1]
+        assert QUEENS_LEVEL_MAPPING.atom_level(a) == level(a) == want, a
+    assert QUEENS_LEVEL_MAPPING.linear_form(_atom("pqs(s(I),[a|Cs],U,D)")) == (
+        2, {parse_term("I"): 1, parse_term("Cs"): 1})
 
 
 def test_samplers_sound():

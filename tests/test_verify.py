@@ -3,11 +3,13 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from queenscheck.parser import parse_program, parse_query, parse_term
-from queenscheck.queens import mutant_program, nqueens_program
+from queenscheck.queens import NQUEENS_SOURCE, mutant_program, nqueens_program
 from queenscheck.specs import (
     LevelMapping,
+    QUEENS_LEVEL_MAPPING,
     SpecSet,
     exactness_pool,
     level,
@@ -18,10 +20,19 @@ from queenscheck.specs import (
 )
 from queenscheck.terms import (
     Atom,
+    Clause,
+    Compound,
     DEFAULT_SIGNATURE,
+    NIL,
     Program,
+    Var,
+    ZERO,
+    clause_template,
+    cons,
     format_atom,
+    format_clause,
     is_ground,
+    match_template,
 )
 from queenscheck.verify import (
     CheckReport,
@@ -35,6 +46,8 @@ from queenscheck.verify import (
     report_record,
     report_text,
 )
+
+from recurrence_oracle import enumerate_recurrent
 
 SIG = DEFAULT_SIGNATURE
 
@@ -151,9 +164,9 @@ def test_completeness_nqueens_small_sample():
 
 def test_recurrent_self_loop_fails():
     p = parse_program("p(X) :- p(X).")
-    lm = LevelMapping(atom_level=lambda a: 0)
-    r = check_recurrent(p, lm, SIG, depth=1, max_instances=100)
+    r = check_recurrent(p, LevelMapping({("p", 1): ()}))
     assert r.verdict == "fail"
+    assert r.parameters == {"clause_0_body_0": "0"}
 
 
 def test_recurrent_level_arithmetic_by_hand():
@@ -167,16 +180,97 @@ def test_recurrent_level_arithmetic_by_hand():
     assert level(head) > level(b1) and level(head) > level(b2)
 
 
+#: Head level minus body level of each (clause, body atom) pair, the same
+#: for the program and its three mutants: none of them changes a spine in
+#: a measured argument position.
+QUEENS_FORMS = {"clause_1_body_0": "1", "clause_1_body_1": "1 + 1*size(I)",
+                "clause_3_body_0": "1"}
+
+
 def test_recurrent_nqueens_small_depth():
-    r = check_recurrent(nqueens_program(), sig=SIG, depth=2, max_instances=2_000_000)
-    assert r.verdict == "pass"
-    assert r.instances_examined > 0
+    r = check_recurrent(nqueens_program())
+    assert (r.verdict, r.instances_examined, r.parameters) == ("pass", 3, QUEENS_FORMS)
+    for depth in (1, 2):
+        assert enumerate_recurrent(nqueens_program(), QUEENS_LEVEL_MAPPING, SIG,
+                                   depth).verdict == "pass"
+
+
+#: The program with its walking pq clause no longer stripping a cell off
+#: the column list, so that the level of the body atom equals the head's.
+NON_DECREASING = NQUEENS_SOURCE.replace(
+    "pq(I, [_|Cs], [_|Us], [_|Ds]) :- pq(I, Cs, Us, Ds).",
+    "pq(I, Cs, [_|Us], [_|Ds]) :- pq(I, Cs, Us, Ds).")
+
+
+def _assert_witness(c: Clause, cx: dict, lm: LevelMapping):
+    """cx's instance is a ground instance of c in which the named body atom
+    is not below the head's level."""
+    inst = parse_program(cx["instance"]).clauses[0]
+    vs, head_tpl, body_tpls = clause_template(c)
+    slots = match_template(head_tpl, inst.head, [None] * len(vs))
+    for tpl, b in zip(body_tpls, inst.body):
+        assert slots is not None
+        slots = match_template(tpl, b, slots)
+    assert slots is not None and None not in slots
+    bi = [format_atom(b) for b in c.body].index(cx["body_atom"])
+    assert lm.atom_level(inst.body[bi]) >= lm.atom_level(inst.head)
+
+
+def test_recurrent_rejects_non_decreasing_mutant():
+    m = parse_program(NON_DECREASING)
+    r = check_recurrent(m)
+    assert (r.verdict, r.instances_examined) == ("fail", 3)
+    assert r.parameters == {**QUEENS_FORMS, "clause_3_body_0": "0"}
+    (cx,) = r.counterexamples
+    assert cx["clause"] == format_clause(m.clauses[3])
+    assert cx["body_atom"] == format_atom(m.clauses[3].body[0])
+    _assert_witness(m.clauses[3], cx, QUEENS_LEVEL_MAPPING)
+
+
+@pytest.mark.parametrize("mutant", ["drop-ds-wrapper", "nonuniform-strip",
+                                    "swap-us-ds", "non-decreasing"])
+def test_recurrent_proof_agrees_with_enumeration(mutant):
+    m = parse_program(NON_DECREASING) if mutant == "non-decreasing" else mutant_program(mutant)
+    r = check_recurrent(m)
+    if mutant != "non-decreasing":
+        assert (r.verdict, r.parameters) == ("pass", QUEENS_FORMS)
+    for depth in (1, 2):
+        assert enumerate_recurrent(m, QUEENS_LEVEL_MAPPING, SIG,
+                                   depth).verdict == r.verdict, depth
 
 
 def test_recurrent_undefined_level_is_counterexample():
     p = parse_program("q(X) :- q(X).")
-    r = check_recurrent(p, sig=SIG, depth=1, max_instances=100)
+    r = check_recurrent(p)
     assert r.verdict == "fail"  # the queens mapping knows nothing about q/1
+    assert r.counterexamples[0]["reason"] == "no level defined for predicate q/1"
+
+
+_LEAVES = [Var("X"), Var("Y"), Var("Z"), ZERO, NIL, Compound("a")]
+_TERMS = st.recursive(
+    st.sampled_from(_LEAVES),
+    lambda inner: st.one_of(st.builds(lambda t: Compound("s", (t,)), inner),
+                            st.builds(cons, inner, inner)),
+    max_leaves=4)
+_ATOMS = st.builds(Atom, st.sampled_from(["p", "q"]), st.tuples(_TERMS, _TERMS))
+_COEFFICIENTS = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+@settings(max_examples=300)  # about one random clause in 15 is recurrent
+@given(_ATOMS, st.lists(_ATOMS, min_size=1, max_size=2), _COEFFICIENTS, _COEFFICIENTS)
+def test_recurrent_proof_against_enumeration(head, body, p_coefficients, q_coefficients):
+    # a proof is sound: the enumeration finds no counterexample after it;
+    # a refutation is real: its witness is a non-decreasing ground instance
+    lm = LevelMapping({("p", 2): tuple(enumerate(p_coefficients)),
+                       ("q", 2): tuple(enumerate(q_coefficients))})
+    c = Clause(head, tuple(body))
+    r = check_recurrent(Program((c,)), lm)
+    assert r.instances_examined == len(body)
+    if r.verdict == "pass":
+        assert enumerate_recurrent(Program((c,)), lm, SIG, 2).verdict == "pass"
+    else:
+        for cx in r.counterexamples:
+            _assert_witness(c, cx, lm)
 
 
 def test_query_bound():
@@ -186,6 +280,10 @@ def test_query_bound():
     assert check_query_bound(parse_query("pq(0, [a], [b], [c])")) == 1
     assert check_query_bound(parse_query("pqs(2, [a,b|T], U, D)")) is None
     assert check_query_bound(parse_query("other(X)")) is None
+    # the bound follows the mapping it is given
+    lm = LevelMapping({("p", 2): ((0, 2),)})
+    assert check_query_bound(parse_query("p(s(s(0)), X)"), lm) == 4
+    assert check_query_bound(parse_query("p(s(X), 0)"), lm) is None
 
 
 def test_fixpoint_exactness_aligned_slices():
@@ -231,7 +329,8 @@ _MODEL_SCANS = {
 
 #: Per program: (model instances, recurrent instances, fixpoint instances,
 #: fixpoint size, symmetric difference), recorded from the checks as they
-#: were before their instance loops ran on compiled clause templates.
+#: were before their instance loops ran on compiled clause templates. The
+#: recurrent count is the enumeration oracle's, which was the check then.
 PINNED_WORK = {
     None: (516_992, 20_480, 13_932, 13_932, 0),
     "drop-ds-wrapper": (516_608, 17_408, 13_932, 13_932, 0),
@@ -258,7 +357,9 @@ def test_check_work_is_pinned(mutant):
     assert (r.verdict, r.instances_examined) == ("fail" if broken else "pass", 2_000)
     assert r.parameters == {"spec": "s0", "depth": 2, "sample_budget": 2_000, **truncated}
 
-    r = check_recurrent(p, sig=SIG, depth=1)
+    r = check_recurrent(p)
+    assert (r.verdict, r.instances_examined) == ("pass", 3)
+    r = enumerate_recurrent(p, QUEENS_LEVEL_MAPPING, SIG, 1)
     assert (r.verdict, r.instances_examined) == ("pass", recurrent_n)
     assert r.parameters == {"depth": 1, "probe_pool_size": 4, "max_instances": 10_000_000,
                             "clause_1_pool": 4, "clause_3_pool": 4}
