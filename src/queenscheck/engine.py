@@ -13,37 +13,34 @@ backtracking. The stack lives on the heap, and the walkers that build an
 answer's terms are iterative too, so neither a long derivation nor a deep
 answer term deepens the Python stack. `solve` streams the machine's answers.
 
-Each predicate's clauses are compiled once per call: the clause's
-variables, a template that renames it apart, and, per head argument, its
-principal functor and a first-occurrence flag, read off the head
-template's slots with `terms.slot_walk`. A head argument whose
-principal functor differs from that of the walked goal argument cannot
-unify with it, so such a clause is skipped before it is renamed. An
-argument is flagged when it is linear and, reading the head left to
-right, all its variables occur there for the first time. Renamed apart, it
-then shares no variable with the goal or with the arguments before it, so
-by the NSTO lemma (Apt and Pellegrini 1994: a linear term unifies with a
-term it shares no variable with without ever needing the occur-check) it
-is unified with no occurs scan; see `unify.try_unify_atoms`.
+Goals are atoms on `unify.Cell`s, bound in place and undone from the
+trail; they become terms only when an answer is produced. Each
+predicate's clauses are compiled once per call: head and body templates
+and, per head argument, its principal functor and a first-occurrence
+flag (see `unify.try_unify_atoms`). A clause whose head argument has a
+principal functor other than the goal argument's is skipped before its
+head code runs; the body atoms are built from the slots that head code
+fills, with a new cell for each variable that occurs only in the body.
 """
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterator, Optional, Union
 
 from .terms import (
     Atom,
     Clause,
+    Compound,
     Program,
     Query,
     Var,
-    apply_subst,
     apply_subst_atom,
     clause_template,
     instantiate_atom,
     query_vars,
     slot_walk,
 )
-from .unify import resolve, resolve_atom, try_unify_atoms, undo_trail, walk
+from .unify import Cell, deref, resolve_atom, try_unify_atoms, undo
 
 SELECTION_RULES = ("leftmost", "rightmost", "fair")
 
@@ -83,36 +80,25 @@ def _select(rule: str, n_goals: int, step: int) -> int:
     return step % n_goals
 
 
-def _canonical_renaming(inst: Query, qvars) -> dict:
-    """Map leftover renamed-apart variables in an answer to fresh parseable
-    names _G1, _G2, ... that avoid the query's own variables."""
+def _answer(qvars, qcells, atoms) -> Answer:
+    """The answer of atoms, the query's atoms on the cells qcells of its
+    variables qvars: unbound query cells keep their names, and the other
+    unbound cells are _G1, _G2, ... by first occurrence, avoiding those."""
+    names = {c: v for c, v in zip(qcells, qvars) if c.ref is None}
     taken = {v.name for v in qvars}
-    ren: dict = {}
-    k = 1
-    for v in query_vars(inst):
-        if v in qvars or v in ren:
-            continue
-        while f"_G{k}" in taken:
-            k += 1
-        ren[v] = Var(f"_G{k}")
-        k += 1
-    return ren
-
-
-def _answer(query: Query, qvars, bindings: dict) -> Answer:
-    inst = Query(tuple(resolve_atom(a, bindings) for a in query.atoms))
-    ren = _canonical_renaming(inst, qvars)
-    inst = Query(tuple(apply_subst_atom(ren, a) for a in inst.atoms))
-    subst = tuple((v, apply_subst(ren, t)) for v in qvars
-                  if (t := resolve(v, bindings)) != v)
-    return Answer(subst, inst)
+    fresh = (Var(name) for k in count(1) if (name := f"_G{k}") not in taken).__next__
+    inst = Query(tuple([resolve_atom(a, names, fresh) for a in atoms]))
+    # the walk stored the term of every bound query cell in names
+    return Answer(tuple((v, names[c]) for v, c in zip(qvars, qcells) if c.ref is not None),
+                  inst)
 
 
 # --- compiled clauses ---------------------------------------------------------
 
 @dataclass(frozen=True)
 class _Compiled:
-    names: tuple  # variable names, in order of first occurrence
+    head_vars: int  # number of variables in the head; they come first
+    body_vars: int  # number of variables that occur in the body only
     head: tuple  # atom template of the head (see terms.clause_template)
     body: tuple  # atom template per body atom
     checks: tuple  # (argument index, principal functor) of each compound head argument
@@ -120,8 +106,8 @@ class _Compiled:
 
 
 def _principal(t):
-    """(functor, arity) of a compound, None for a variable."""
-    return None if isinstance(t, Var) else (t.functor, len(t.args))
+    """(functor, arity) of a compound, None for a variable or a cell."""
+    return (t.functor, len(t.args)) if t.__class__ is Compound else None
 
 
 def _compile(c: Clause) -> _Compiled:
@@ -133,22 +119,29 @@ def _compile(c: Clause) -> _Compiled:
         first.append(len(set(occ)) == len(occ) and seen.isdisjoint(occ))
         seen.update(occ)
     return _Compiled(
-        names=tuple(v.name for v in vs),
+        head_vars=len(seen),
+        body_vars=len(vs) - len(seen),
         head=head,
         body=body,
         checks=tuple((i, _principal(t)) for i, t in enumerate(c.head.args)
-                     if not isinstance(t, Var)),
+                     if t.__class__ is Compound),
         first_occurrence=tuple(first),
     )
 
 
-def _candidates(clauses, goal: Atom, bindings: dict) -> list:
+def _candidates(clauses, goal: Atom) -> list:
     """The clauses whose head may unify with goal: each compound head
-    argument meets a goal argument that walks to a variable or to a
-    compound with the same principal functor."""
-    keys = [_principal(walk(t, bindings)) for t in goal.args]
-    return [c for c in clauses
-            if all(keys[i] is None or keys[i] == key for i, key in c.checks)]
+    argument meets a goal argument that dereferences to an unbound cell or
+    to a compound with the same principal functor."""
+    keys = [_principal(deref(t)) for t in goal.args]
+    out = []
+    for c in clauses:
+        for i, key in c.checks:
+            if keys[i] is not None and keys[i] != key:
+                break
+        else:
+            out.append(c)
+    return out
 
 
 # --- the machine --------------------------------------------------------------
@@ -174,40 +167,40 @@ def _run(program: Program, query: Query, opts: SolveOptions
     for c in program.clauses:
         compiled.setdefault(c.head.pred, []).append(_compile(c))
     qvars = query_vars(query)
-    bindings: dict = {}
+    qcells = [Cell() for _ in qvars]
+    atoms = tuple([apply_subst_atom(dict(zip(qvars, qcells)), a) for a in query.atoms])
     trail: list = []
     stack: list = []
-    renamings = 0
     cut = 0
-    goals, steps = query.atoms, 0  # a new resolvent, or None when backtracking
+    goals, steps = atoms, 0  # a new resolvent, or None when backtracking
     while True:
         if goals is not None:
             if not goals:
-                yield _answer(query, qvars, bindings)
+                yield _answer(qvars, qcells, atoms)
             elif opts.depth_limit is not None and steps >= opts.depth_limit:
                 cut += 1
             else:
                 idx = _select(opts.selection_rule, len(goals), steps)
-                cands = _candidates(compiled.get(goals[idx].pred, ()), goals[idx], bindings)
+                cands = _candidates(compiled.get(goals[idx].pred, ()), goals[idx])
                 stack.append(_Frame(goals, steps, idx, cands, len(trail)))
             goals = None
         if not stack:
             break
         frame = stack[-1]
-        undo_trail(bindings, trail, frame.mark)
+        if len(trail) > frame.mark:
+            undo(trail, frame.mark)
         if frame.next == len(frame.clauses):
             stack.pop()
             continue
         cc = frame.clauses[frame.next]
         frame.next += 1
-        renamings += 1
-        suffix = f"@{renamings}"
-        fresh = [Var(name + suffix) for name in cc.names]
-        head = instantiate_atom(cc.head, fresh)
-        if not try_unify_atoms(frame.goal, head, bindings, trail, opts.occur_check,
+        slots = [None] * cc.head_vars
+        if not try_unify_atoms(frame.goal, cc.head, slots, trail, opts.occur_check,
                                cc.first_occurrence):
             continue
-        body = tuple([instantiate_atom(b, fresh) for b in cc.body])
+        if cc.body_vars:
+            slots += [Cell() for _ in range(cc.body_vars)]
+        body = tuple([instantiate_atom(b, slots) for b in cc.body])
         goals = frame.goals[:frame.index] + body + frame.goals[frame.index + 1:]
         steps = frame.steps + 1
     if cut:

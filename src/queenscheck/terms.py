@@ -240,14 +240,14 @@ def apply_subst_atom(s: Substitution, a: Atom) -> Atom:
 
 
 def term_vars(t: Term, acc=None):
-    """Variables in order of first occurrence."""
-    if acc is None:
-        acc = []
-    todo = [t]
+    """Variables in order of first occurrence, appended to acc."""
+    acc = [] if acc is None else acc
+    seen, todo = set(acc), [t]
     while todo:
         u = todo.pop()
         if isinstance(u, Var):
-            if u not in acc:
+            if u not in seen:
+                seen.add(u)
                 acc.append(u)
         else:
             todo.extend(reversed(u.args))
@@ -379,24 +379,32 @@ def slot_walk(args) -> list:
 # --- canonical printing -------------------------------------------------------
 
 def format_term(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    n = numeral_value(t)
-    if n is not None:
-        return str(n)
-    if t == NIL:
-        return "[]"
-    if t.functor == CONS and len(t.args) == 2:
-        items = []
-        while isinstance(t, Compound) and t.functor == CONS and len(t.args) == 2:
-            items.append(format_term(t.args[0]))
-            t = t.args[1]
-        if t == NIL:
-            return "[" + ",".join(items) + "]"
-        return "[" + ",".join(items) + "|" + format_term(t) + "]"
-    if not t.args:
-        return t.functor
-    return t.functor + "(" + ",".join(format_term(a) for a in t.args) + ")"
+    """Canonical text of t; iterative, so term depth is not bounded by the
+    Python stack."""
+    out, todo = [], [t]  # todo: terms to print, and text to emit as it is
+    while todo:
+        t = todo.pop()
+        if t.__class__ is str:
+            out.append(t)
+        elif isinstance(t, Var):
+            out.append(t.name)
+        elif (n := numeral_value(t)) is not None:
+            out.append(str(n))
+        elif not t.args:
+            out.append("[]" if t == NIL else t.functor)
+        else:
+            parts = []  # the text of t, with its subterms still to print
+            while isinstance(t, Compound) and t.functor == CONS and len(t.args) == 2:
+                parts += (",", t.args[0])
+                t = t.args[1]
+            if parts:
+                parts[0] = "["
+                parts += ("]",) if t == NIL else ("|", t, "]")
+            else:
+                parts = [x for u in t.args for x in (",", u)] + [")"]
+                parts[0] = t.functor + "("
+            todo.extend(reversed(parts))
+    return "".join(out)
 
 
 def format_atom(a: Atom) -> str:

@@ -1,28 +1,22 @@
-"""Most-general unification with a switchable occur-check.
+"""Most-general unification on mutable variable cells, with a switchable
+occur-check.
 
-Two layers: a trail-based in-place unifier used by the resolution engine,
-and `mgu`/`unify_atoms` which return idempotent substitutions. One-way
-matching of clause instances lives with the slot templates, in
-`terms.match_template`.
+A `Cell` holds its binding in one slot; binding it appends it to a trail,
+and `undo` empties the slots again. `unify` is the one unifier.
+`try_unify_atoms` is the engine's head code, which unifies a goal with a
+clause's head template without building the renamed head, like the WAM's
+get and unify instructions (Warren 1983; Ait-Kaci 1991). `unify_atoms`
+and `mgu` read out an idempotent substitution with `resolve`.
 
 With occur_check=False the per-binding occurs scan is skipped, but a cyclic
 binding set is still rejected after the fact: this artifact never builds
 rational trees, so both modes agree on every solvable problem.
-
-`try_unify_atoms` and `unify_terms` also take a first-occurrence flag, the
-caller's certificate that a term of the second side is linear and shares
-no variable with the first side under the current bindings. By the NSTO
-lemma (Apt and Pellegrini 1994) such a unification never reaches an
-occurs test, so it runs without the scan; with the check off, it closes
-no cycle, so the cyclic rescan may skip the certified arguments in front
-of the first uncertified one. The engine certifies renamed clause heads
-this way; `mgu` and `unify_atoms` pass no flag and keep the full check.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
-from .terms import Atom, Compound, Substitution, Term, Var
+from .terms import Atom, Compound, Substitution, Term, apply_subst, atom_vars
 
 
 @dataclass(frozen=True)
@@ -30,56 +24,64 @@ class UnifyOptions:
     occur_check: bool = True
 
 
-def walk(t: Term, bindings: dict) -> Term:
-    while isinstance(t, Var):
-        b = bindings.get(t)
-        if b is None:
-            return t
-        t = b
+class Cell:
+    """A variable: `ref` is its binding, or None while it is unbound."""
+
+    __slots__ = ("ref",)
+
+    def __init__(self):
+        self.ref = None
+
+
+def deref(t):
+    """The end of t's chain of bound cells: a compound or an unbound cell."""
+    while t.__class__ is Cell and t.ref is not None:
+        t = t.ref
     return t
 
 
-def occurs(v: Var, t: Term, bindings: dict) -> bool:
+def undo(trail: list, mark: int):
+    """Unbind the cells bound since the trail had length mark."""
+    for c in trail[mark:]:
+        c.ref = None
+    del trail[mark:]
+
+
+def occurs(v: Cell, t) -> bool:
     stack = [t]
     while stack:
-        u = walk(stack.pop(), bindings)
-        if isinstance(u, Var):
-            if u == v:
-                return True
-        else:
+        u = deref(stack.pop())
+        if u is v:
+            return True
+        if u.__class__ is not Cell:
             stack.extend(u.args)
     return False
 
 
-def unify_terms(t1: Term, t2: Term, bindings: dict, trail: list,
-                occur_check: bool = True, first_occurrence: bool = False) -> bool:
-    """Extend bindings to unify t1 and t2; on failure, bindings may hold
-    partial work that the caller must undo via the trail.
-
-    first_occurrence=True certifies that t2 is linear and shares no
-    variable with t1 under bindings; the occurs scan is then skipped."""
+def unify(t1, t2, trail: list, occur_check: bool = True) -> bool:
+    """Bind cells so that t1 and t2 become equal, appending each bound cell
+    to trail; on failure, the caller undoes the partial work to its mark."""
     # Without the check, earlier bindings may be cyclic; remembering the
     # compound pairs already taken apart keeps the loop finite on them.
-    seen = None if occur_check or first_occurrence else set()
-    occur_check = occur_check and not first_occurrence
+    seen = None if occur_check else set()
     stack = [(t1, t2)]
     while stack:
         a, b = stack.pop()
-        a = walk(a, bindings)
-        b = walk(b, bindings)
+        while a.__class__ is Cell and a.ref is not None:
+            a = a.ref
+        while b.__class__ is Cell and b.ref is not None:
+            b = b.ref
         if a is b:
             continue
-        if isinstance(a, Var):
-            if isinstance(b, Var) and a == b:
-                continue
-            if occur_check and occurs(a, b, bindings):
+        if a.__class__ is Cell:
+            if occur_check and occurs(a, b):
                 return False
-            bindings[a] = b
+            a.ref = b
             trail.append(a)
-        elif isinstance(b, Var):
-            if occur_check and occurs(b, a, bindings):
+        elif b.__class__ is Cell:
+            if occur_check and occurs(b, a):
                 return False
-            bindings[b] = a
+            b.ref = a
             trail.append(b)
         elif a.functor != b.functor or len(a.args) != len(b.args):
             return False
@@ -94,97 +96,156 @@ def unify_terms(t1: Term, t2: Term, bindings: dict, trail: list,
     return True
 
 
-def undo_trail(bindings: dict, trail: list, mark: int):
-    while len(trail) > mark:
-        del bindings[trail.pop()]
-
-
-def _bound_children(t: Term, bindings: dict) -> list:
-    """(variable, binding) for each bound variable occurring in t."""
+def _bound_children(t) -> list:
+    """The bound cells occurring in t, not looking through bindings."""
     out, todo = [], [t]
     while todo:
         u = todo.pop()
-        if isinstance(u, Var):
-            b = bindings.get(u)
-            if b is not None:
-                out.append((u, b))
+        if u.__class__ is Cell:
+            if u.ref is not None:
+                out.append(u)
         else:
             todo.extend(u.args)
     return out
 
 
-def bindings_cyclic(bindings: dict, roots) -> bool:
-    """True if following bindings from any root revisits a variable.
+def cyclic(roots) -> bool:
+    """True if following bindings from any root cell revisits a cell.
 
-    One depth-first walk over the bound variables: a variable is on the
-    path while the bindings below it are explored and done afterwards, so
-    each binding is scanned at most once."""
-    on_path: dict = {}  # variable -> True while on the path, False once done
+    One depth-first walk over the bound cells: a cell is on the path while
+    the bindings below it are explored and done afterwards, so each binding
+    is scanned at most once."""
+    on_path: dict = {}  # cell -> True while on the path, False once done
     for root in roots:
-        b = bindings.get(root)
-        if b is None or root in on_path:
+        if root.ref is None or root in on_path:
             continue
         on_path[root] = True
-        stack = [(root, iter(_bound_children(b, bindings)))]
+        stack = [(root, iter(_bound_children(root.ref)))]
         while stack:
-            v, children = stack[-1]
-            for u, b in children:
+            c, children = stack[-1]
+            for u in children:
                 state = on_path.get(u)
                 if state:
                     return True
                 if state is None:
                     on_path[u] = True
-                    stack.append((u, iter(_bound_children(b, bindings))))
+                    stack.append((u, iter(_bound_children(u.ref))))
                     break
             else:
                 stack.pop()
-                on_path[v] = False
+                on_path[c] = False
     return False
 
 
-def try_unify_atoms(a1: Atom, a2: Atom, bindings: dict, trail: list,
-                    occur_check: bool = True, first_occurrence: tuple = ()) -> bool:
-    """In-place atom unification honoring the occur-check mode; undoes its
-    own work on failure.
+def _build(tpl, slots: list):
+    """The term of tpl, with a new cell in each empty slot it meets."""
+    if tpl.__class__ is int:
+        if slots[tpl] is None:
+            slots[tpl] = Cell()
+        return slots[tpl]
+    if tpl.__class__ is not tuple:
+        return tpl
+    return Compound(tpl[0], tuple([_build(p, slots) for p in tpl[1]]))
 
-    first_occurrence[i] true certifies that a2's i-th argument is linear and
-    that none of its variables occurs in a1, in a2's earlier arguments or in
-    bindings: the argument is unified with no occurs scan. With the check
-    off, the cyclic rescan starts at the bindings of the first argument
-    without the flag, since a cycle needs a binding made from there on."""
-    if a1.pred != a2.pred or len(a1.args) != len(a2.args):
-        return False
-    mark = len(trail)
-    rescan = None  # trail position of the first argument without the flag
-    for i, (x, y) in enumerate(zip(a1.args, a2.args)):
-        certified = i < len(first_occurrence) and first_occurrence[i]
-        if rescan is None and not certified:
-            rescan = len(trail)
-        if not unify_terms(x, y, bindings, trail, occur_check, certified):
-            undo_trail(bindings, trail, mark)
+
+def _unify_head(tpl, g, slots: list, trail: list, occur_check: bool) -> bool:
+    """Unify goal term g with tpl, a head template other than a slot's
+    first occurrence, recursing over tpl only: a compound of tpl takes a
+    goal compound apart (read mode) or is built on an unbound cell (write
+    mode)."""
+    if tpl.__class__ is int:
+        return unify(g, slots[tpl], trail, occur_check)
+    while g.__class__ is Cell and g.ref is not None:
+        g = g.ref
+    if g.__class__ is Cell:
+        t = _build(tpl, slots)  # a ground template needs no occurs scan
+        if occur_check and tpl.__class__ is tuple and occurs(g, t):
             return False
-    if (not occur_check and rescan is not None
-            and bindings_cyclic(bindings, trail[rescan:])):
-        undo_trail(bindings, trail, mark)
+        g.ref = t
+        trail.append(g)
+        return True
+    if tpl.__class__ is not tuple:
+        return g is tpl or unify(g, tpl, trail, occur_check)
+    if g.functor != tpl[0] or len(g.args) != len(tpl[1]):
         return False
+    for p, u in zip(tpl[1], g.args):
+        if p.__class__ is int and slots[p] is None:  # as in try_unify_atoms
+            while u.__class__ is Cell and u.ref is not None:
+                u = u.ref
+            if u.__class__ is Cell:
+                u.ref = Cell()
+                trail.append(u)
+                u = u.ref
+            slots[p] = u
+        elif not _unify_head(p, u, slots, trail, occur_check):
+            return False
     return True
 
 
-def resolve(t: Term, bindings: dict) -> Term:
-    """Fully apply bindings to t (bindings must be acyclic); iterative, so
-    term depth is not bounded by the Python stack."""
+def try_unify_atoms(goal: Atom, head: tuple, slots: list, trail: list,
+                    occur_check: bool, first_occurrence: tuple) -> bool:
+    """Unify goal with the clause head whose atom template is head, filling
+    slots (one None per head variable); undoes its bindings on failure.
+
+    A slot's first occurrence takes the dereferenced goal term; an unbound
+    goal cell is bound to a new cell, so that the goal side gets bound, as
+    against a renamed head. first_occurrence[i] certifies that the head's
+    i-th argument is linear and new: by the NSTO lemma (Apt and Pellegrini
+    1994) it is unified with no occurs scan, and with the check off it
+    closes no cycle, so the cyclic rescan starts at the first argument
+    without the flag."""
+    pred, tpl = head
+    if goal.pred != pred or len(goal.args) != len(tpl):
+        return False
+    mark = len(trail)
+    rescan = None  # trail position of the first argument without the flag
+    for p, g, certified in zip(tpl, goal.args, first_occurrence):
+        if rescan is None and not certified:
+            rescan = len(trail)
+        if p.__class__ is int and slots[p] is None:
+            while g.__class__ is Cell and g.ref is not None:
+                g = g.ref
+            if g.__class__ is Cell:
+                g.ref = Cell()
+                trail.append(g)
+                g = g.ref
+            slots[p] = g
+        elif not _unify_head(p, g, slots, trail, occur_check and not certified):
+            break
+    else:
+        if occur_check or rescan is None or not cyclic(trail[rescan:]):
+            return True
+    undo(trail, mark)
+    return False
+
+
+def resolve(t, names: dict, fresh=None) -> Term:
+    """t with each cell replaced by names[cell], or else by fresh() if it is
+    unbound (in order of first occurrence) and by its resolved binding if
+    not; each cell's term is stored in names, so a shared binding is
+    resolved once. Bindings must be acyclic; iterative."""
     done: list = []  # finished subterms, left to right
-    todo = [t]  # subterms to visit, and (functor, arity) to build from done
+    todo = [t]  # subterms to visit, (functor, arity) to build from done,
+    # and [cell] to store the last finished subterm as the cell's term
     while todo:
         u = todo.pop()
-        if u.__class__ is tuple:
+        kind = u.__class__
+        if kind is tuple:
             functor, n = u
             args = tuple(done[len(done) - n:])
             del done[len(done) - n:]
             done.append(Compound(functor, args))
-            continue
-        u = walk(u, bindings)
-        if isinstance(u, Var) or not u.args:
+        elif kind is list:
+            names[u[0]] = done[-1]
+        elif kind is Cell:
+            v = names.get(u)
+            if v is not None:
+                done.append(v)
+            elif u.ref is None:
+                done.append(names.setdefault(u, fresh()))
+            else:
+                todo += ([u], u.ref)
+        elif not u.args:
             done.append(u)
         else:
             todo.append((u.functor, len(u.args)))
@@ -192,33 +253,25 @@ def resolve(t: Term, bindings: dict) -> Term:
     return done[0]
 
 
-def resolve_atom(a: Atom, bindings: dict) -> Atom:
-    return Atom(a.pred, tuple(resolve(t, bindings) for t in a.args))
+def resolve_atom(a: Atom, names: dict, fresh=None) -> Atom:
+    return Atom(a.pred, tuple([resolve(t, names, fresh) for t in a.args]))
 
 
-def _to_substitution(bindings: dict, trail: list) -> Substitution:
-    out = {}
-    for v in trail:
-        t = resolve(v, bindings)
-        if t != v:
-            out[v] = t
-    return out
+def unify_atoms(a1: Atom, a2: Atom, opts: UnifyOptions = UnifyOptions()) -> Optional[Substitution]:
+    """Idempotent most-general unifier of a1 and a2, or None."""
+    if a1.pred != a2.pred or len(a1.args) != len(a2.args):
+        return None
+    cells = {v: Cell() for a in (a1, a2) for v in atom_vars(a)}
+    trail: list = []
+    for t1, t2 in zip(a1.args, a2.args):
+        if not unify(apply_subst(cells, t1), apply_subst(cells, t2), trail, opts.occur_check):
+            return None
+    if not opts.occur_check and cyclic(trail):
+        return None
+    names = {c: v for v, c in cells.items() if c.ref is None}
+    return {v: resolve(c, names) for v, c in cells.items() if c.ref is not None}
 
 
 def mgu(t1: Term, t2: Term, opts: UnifyOptions = UnifyOptions()) -> Optional[Substitution]:
     """Idempotent most-general unifier of t1 and t2, or None."""
-    bindings: dict = {}
-    trail: list = []
-    if not unify_terms(t1, t2, bindings, trail, opts.occur_check):
-        return None
-    if not opts.occur_check and bindings_cyclic(bindings, trail):
-        return None
-    return _to_substitution(bindings, trail)
-
-
-def unify_atoms(a1: Atom, a2: Atom, opts: UnifyOptions = UnifyOptions()) -> Optional[Substitution]:
-    bindings: dict = {}
-    trail: list = []
-    if not try_unify_atoms(a1, a2, bindings, trail, opts.occur_check):
-        return None
-    return _to_substitution(bindings, trail)
+    return unify_atoms(Atom("", (t1,)), Atom("", (t2,)), opts)

@@ -183,12 +183,24 @@ def test_signature_file(capsys, tmp_path, prog_file):
 def test_query_long_derivation(capsys, len_file):
     # 331 resolution steps: more than the Python stack held when the engine
     # recursed once per step; 2001 steps and an answer list 2000 cells long:
-    # more than it held when the answer's term walkers recursed
-    for n in (330, 2000):
+    # more than it held when the answer's term walkers recursed; 10000
+    # variables in one answer: naming them must be linear in their number
+    for n in (330, 2000, 10000):
         code, out, _ = run(capsys, "query", len_file, f"len(L,{n})")
         assert code == EXIT_OK
         assert out.splitlines()[-1] == "1 answers"
         assert out.count(",") == n
+
+
+def test_query_deep_non_list_answer(capsys, tmp_path):
+    # an answer term nested 3001 deep off the list spine: printing it must
+    # not recurse once per level
+    f = tmp_path / "d.pl"
+    f.write_text("d(0, z).\nd(s(N), f(X)) :- d(N, X).\n")
+    code, out, _ = run(capsys, "query", str(f), "d(3000,X)")
+    assert code == EXIT_OK
+    assert out.splitlines()[-1] == "1 answers"
+    assert out.startswith("d(3000," + "f(" * 3000 + "z")
 
 
 def test_query_resource_exhaustion_exit(capsys, len_file):

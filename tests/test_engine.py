@@ -20,6 +20,7 @@ from queenscheck.terms import (
     Query,
     Var,
     apply_subst,
+    apply_subst_atom,
     atom_vars,
     clause_template,
     format_query,
@@ -169,13 +170,23 @@ def _head_and_goal(draw):
 @given(_head_and_goal())
 def test_one_clause_program_agrees_with_unify_atoms(case):
     # unify_atoms keeps the full occurs scan, so it is the reference for the
-    # engine's pre-check, first-occurrence flags and cyclic rescan
+    # engine's pre-check, first-occurrence flags and cyclic rescan; its
+    # instance of the goal is the reference for the engine's head code
     head, goal = case
-    expected = 0 if unify_atoms(goal, head) is None else 1
+    theta = unify_atoms(goal, head)
     program = Program((Clause(head),))
     for occur_check in (True, False):
         answers = solve_answers(program, Query((goal,)), SolveOptions(occur_check=occur_check))
-        assert len(answers) == expected
+        assert len(answers) == (0 if theta is None else 1)
+        if answers:
+            assert _canonical(answers[0].instantiated_query.atoms[0]) == _canonical(
+                apply_subst_atom(theta, goal))
+
+
+def _canonical(a):
+    """a with its variables renamed V0, V1, ... in order of first
+    occurrence: two atoms are variants exactly when these are equal."""
+    return apply_subst_atom({v: Var(f"V{i}") for i, v in enumerate(atom_vars(a))}, a)
 
 
 # --- golden streams -------------------------------------------------------------

@@ -48,3 +48,14 @@ def test_only_specs_and_queens_name_the_program_predicates():
                    if isinstance(node, ast.Constant) and isinstance(node.value, str)}
         assert not strings & {"pqs", "pq"}, path.name
     assert not {"PQS", "PQ"} & {name for _, name in _imports(SRC / "verify.py")}
+
+
+def test_one_binding_store():
+    # the engine and the unifier bind variables in place, in cells; no
+    # function takes a separate store of bindings
+    for name in ("unify.py", "engine.py"):
+        params = [arg.arg for node in ast.walk(ast.parse((SRC / name).read_text()))
+                  if isinstance(node, (ast.FunctionDef, ast.Lambda))
+                  for arg in (*node.args.posonlyargs, *node.args.args,
+                              *node.args.kwonlyargs)]
+        assert "bindings" not in params, name

@@ -18,8 +18,9 @@ from queenscheck.terms import (
     term_vars,
 )
 from queenscheck.unify import (
+    Cell,
     UnifyOptions,
-    bindings_cyclic,
+    cyclic,
     mgu,
     unify_atoms,
 )
@@ -147,16 +148,18 @@ def test_match_atom():
 
 
 def test_bindings_cyclic_long_chain():
-    # X0 -> f(X1) -> ... -> f(X4999): each binding is scanned once, with no
-    # recursion, whichever variables the walk starts from
-    vs = [Var(f"X{i}") for i in range(5000)]
-    bindings = {vs[i]: Compound("f", (vs[i + 1],)) for i in range(4999)}
-    assert not bindings_cyclic(bindings, vs[:1])
-    assert not bindings_cyclic(bindings, vs)
-    bindings[vs[-1]] = Compound("g", (a, vs[0]))
-    assert bindings_cyclic(bindings, vs[:1])
-    assert bindings_cyclic(bindings, vs[2500:])
-    # a variable reached along two paths is shared, not cyclic
-    w = Var("W")
-    shared = {X: Compound("g", (Y, Z)), Y: Compound("f", (w,)), Z: Compound("f", (w,)), w: a}
-    assert not bindings_cyclic(shared, [X, Y, Z, w])
+    # C0 -> f(C1) -> ... -> f(C4999): each binding is scanned once, with no
+    # recursion, whichever cells the walk starts from
+    cs = [Cell() for _ in range(5000)]
+    for c, d in zip(cs, cs[1:]):
+        c.ref = Compound("f", (d,))
+    assert not cyclic(cs[:1])
+    assert not cyclic(cs)
+    cs[-1].ref = Compound("g", (a, cs[0]))
+    assert cyclic(cs[:1])
+    assert cyclic(cs[2500:])
+    # a cell reached along two paths is shared, not cyclic
+    x, y, z, w = Cell(), Cell(), Cell(), Cell()
+    x.ref, y.ref, z.ref, w.ref = (Compound("g", (y, z)), Compound("f", (w,)),
+                                  Compound("f", (w,)), a)
+    assert not cyclic([x, y, z, w])
