@@ -34,11 +34,11 @@ from .terms import (
     Program,
     Query,
     Var,
-    apply_subst_atom,
+    apply_subst,
     clause_template,
     instantiate_atom,
-    query_vars,
     slot_walk,
+    term_vars,
 )
 from .unify import Cell, deref, resolve_atom, try_unify_atoms, undo
 
@@ -166,9 +166,11 @@ def _run(program: Program, query: Query, opts: SolveOptions
     compiled: dict = {}
     for c in program.clauses:
         compiled.setdefault(c.head.pred, []).append(_compile(c))
-    qvars = query_vars(query)
+    qvars = term_vars([t for a in query.atoms for t in a.args])
     qcells = [Cell() for _ in qvars]
-    atoms = tuple([apply_subst_atom(dict(zip(qvars, qcells)), a) for a in query.atoms])
+    on_cells = dict(zip(qvars, qcells))
+    atoms = tuple([Atom(a.pred, tuple([apply_subst(on_cells, t) for t in a.args]))
+                   for a in query.atoms])
     trail: list = []
     stack: list = []
     cut = 0

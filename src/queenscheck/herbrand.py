@@ -73,8 +73,9 @@ def count_terms(sig: Signature, max_depth: int) -> int:
 
 def depth_profile(tpl: tuple) -> tuple:
     """(skeleton depth, ((slot, nesting), ...)) of an atom template: the
-    atom_depth of its atom with every slot a variable, and the deepest
-    nesting of each slot, that is the number of compounds around it."""
+    greatest term_depth of an argument of its atom with every slot a
+    variable, and the deepest nesting of each slot, that is the number of
+    compounds around it."""
     depth = 0
     nesting: dict = {}
     for leaf, at in slot_walk(tpl[1]):
@@ -87,8 +88,8 @@ def depth_profile(tpl: tuple) -> tuple:
 
 
 def bound_depth(profile: tuple, slots) -> int:
-    """atom_depth of the profiled atom with each slot that is not
-    None filled in: a variable at nesting n bound to a ground term u
+    """The greatest term_depth of an argument of the profiled atom with each
+    slot that is not None filled in: a variable at nesting n bound to a ground term u
     reaches depth n + term_depth(u)."""
     depth, nesting = profile
     for i, n in nesting:

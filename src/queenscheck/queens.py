@@ -7,7 +7,6 @@ the up-diagonal list and pushing one onto the down-diagonal list per row
 """
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Set
 
 from .parser import parse_program
@@ -124,18 +123,27 @@ def extract_solution(answer, n: int) -> QueensSolution:
 
 
 def brute_force(n: int) -> Set[QueensSolution]:
-    """All n-queens solutions by exhaustive permutation filtering."""
-    if not 1 <= n <= 10:
-        raise ValueError("oracle supports 1 <= n <= 10")
-    out = set()
-    for p in permutations(range(1, n + 1)):
-        ups = {k + p[k - 1] for k in range(1, n + 1)}
-        if len(ups) != n:
-            continue
-        downs = {k - p[k - 1] for k in range(1, n + 1)}
-        if len(downs) != n:
-            continue
-        out.add(QueensSolution(p))
+    """All n-queens solutions, by backtracking column by column over bitmasks
+    of the rows that the queens placed so far attack (Richards 1997)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    full = (1 << n) - 1
+    out, rows = set(), []
+
+    def place(taken: int, up: int, down: int):
+        # up and down: rows attacked along each diagonal in this column
+        if len(rows) == n:
+            out.add(QueensSolution(tuple(rows)))
+            return
+        free = full & ~(taken | up | down)
+        while free:
+            bit = free & -free
+            free ^= bit
+            rows.append(bit.bit_length())
+            place(taken | bit, (up | bit) << 1, (down | bit) >> 1)
+            rows.pop()
+
+    place(0, 0, 0)
     return out
 
 

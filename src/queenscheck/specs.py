@@ -202,7 +202,6 @@ class LevelMapping:
 
 #: |pqs(I,Cs,_,_)| = size(I) + size(Cs) and |pq(_,Cs,_,_)| = size(Cs).
 QUEENS_LEVEL_MAPPING = LevelMapping({(PQS, 4): ((0, 1), (1, 1)), (PQ, 4): ((1, 1),)})
-level = QUEENS_LEVEL_MAPPING.atom_level
 
 
 # --- bounded samplers ----------------------------------------------------------

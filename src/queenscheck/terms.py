@@ -235,46 +235,18 @@ def apply_subst(s: Substitution, t: Term) -> Term:
     return done[0]
 
 
-def apply_subst_atom(s: Substitution, a: Atom) -> Atom:
-    return Atom(a.pred, tuple(apply_subst(s, t) for t in a.args))
-
-
-def term_vars(t: Term, acc=None):
-    """Variables in order of first occurrence, appended to acc."""
-    acc = [] if acc is None else acc
-    seen, todo = set(acc), [t]
+def term_vars(ts) -> list:
+    """Variables of the terms ts in order of first occurrence."""
+    out, seen, todo = [], set(), list(ts)[::-1]
     while todo:
         u = todo.pop()
         if isinstance(u, Var):
             if u not in seen:
                 seen.add(u)
-                acc.append(u)
+                out.append(u)
         else:
             todo.extend(reversed(u.args))
-    return acc
-
-
-def atom_vars(a: Atom, acc=None):
-    if acc is None:
-        acc = []
-    for t in a.args:
-        term_vars(t, acc)
-    return acc
-
-
-def clause_vars(c: Clause):
-    acc = []
-    atom_vars(c.head, acc)
-    for b in c.body:
-        atom_vars(b, acc)
-    return acc
-
-
-def query_vars(q: Query):
-    acc = []
-    for a in q.atoms:
-        atom_vars(a, acc)
-    return acc
+    return out
 
 
 def is_ground(t: Term) -> bool:
@@ -290,23 +262,7 @@ def term_depth(t: Term) -> int:
     return 1 + max(term_depth(a) for a in t.args)
 
 
-def atom_depth(a: Atom) -> int:
-    if not a.args:
-        return 0
-    return max(term_depth(t) for t in a.args)
-
-
 # --- compiled clauses -------------------------------------------------------
-
-def _template(t: Term, index: dict):
-    """t with each variable replaced by its slot index[v]: ground subterms
-    stay as they are, other compounds become (functor, args)."""
-    if isinstance(t, Var):
-        return index[t]
-    if is_ground(t):
-        return t
-    return (t.functor, tuple(_template(a, index) for a in t.args))
-
 
 def _instantiate(tpl, slots):
     """A template that is not a slot (callers look slots up themselves)."""
@@ -319,17 +275,38 @@ def _instantiate(tpl, slots):
 def clause_template(c: Clause) -> tuple:
     """(variables, head template, body templates) of c, compiled once so
     that each instance is built by `instantiate_atom` from a slot list:
-    slot i holds the term for the i-th variable in first-occurrence order."""
-    vs = clause_vars(c)
-    index = {v: i for i, v in enumerate(vs)}
-    head, *body = ((a.pred, tuple(_template(t, index) for t in a.args))
-                   for a in (c.head, *c.body))
-    return vs, head, tuple(body)
+    slot i holds the term for the i-th variable in first-occurrence order.
+    In a template each variable is its slot, ground subterms stay as they
+    are, and other compounds become (functor, argument templates).
+    Iterative, so term depth is not bounded by the Python stack."""
+    index: dict = {}  # variable -> slot
+    atoms = []
+    for a in (c.head, *c.body):
+        done: list = []  # templates of finished subterms, left to right
+        todo = list(a.args)[::-1]  # subterms to visit, and [t] to finish t
+        while todo:
+            u = todo.pop()
+            if u.__class__ is list:
+                t = u[0]
+                args = tuple(done[len(done) - len(t.args):])
+                del done[len(done) - len(t.args):]
+                ground = all(x.__class__ is Compound for x in args)
+                done.append(t if ground else (t.functor, args))
+            elif isinstance(u, Var):
+                done.append(index.setdefault(u, len(index)))
+            elif not u.args:
+                done.append(u)
+            else:
+                todo.append([u])
+                todo.extend(reversed(u.args))
+        atoms.append((a.pred, tuple(done)))
+    head, *body = atoms
+    return list(index), head, tuple(body)
 
 
 def instantiate_atom(tpl: tuple, slots) -> Atom:
-    """The atom of an atom template with slot i filled by slots[i]; equal to
-    apply_subst_atom of the substitution mapping each variable to its slot."""
+    """The atom of an atom template with slot i filled by slots[i], that is
+    the template's atom under the substitution of each variable by its slot."""
     pred, args = tpl
     return Atom(pred, tuple([slots[t] if t.__class__ is int else _instantiate(t, slots)
                              for t in args]))

@@ -5,23 +5,15 @@ A `Cell` holds its binding in one slot; binding it appends it to a trail,
 and `undo` empties the slots again. `unify` is the one unifier.
 `try_unify_atoms` is the engine's head code, which unifies a goal with a
 clause's head template without building the renamed head, like the WAM's
-get and unify instructions (Warren 1983; Ait-Kaci 1991). `unify_atoms`
-and `mgu` read out an idempotent substitution with `resolve`.
+get and unify instructions (Warren 1983; Ait-Kaci 1991). `resolve`
+reads a term back off the cells.
 
 With occur_check=False the per-binding occurs scan is skipped, but a cyclic
 binding set is still rejected after the fact: this artifact never builds
 rational trees, so both modes agree on every solvable problem.
 """
 
-from dataclasses import dataclass
-from typing import Optional
-
-from .terms import Atom, Compound, Substitution, Term, apply_subst, atom_vars
-
-
-@dataclass(frozen=True)
-class UnifyOptions:
-    occur_check: bool = True
+from .terms import Atom, Compound, Term
 
 
 class Cell:
@@ -255,23 +247,3 @@ def resolve(t, names: dict, fresh=None) -> Term:
 
 def resolve_atom(a: Atom, names: dict, fresh=None) -> Atom:
     return Atom(a.pred, tuple([resolve(t, names, fresh) for t in a.args]))
-
-
-def unify_atoms(a1: Atom, a2: Atom, opts: UnifyOptions = UnifyOptions()) -> Optional[Substitution]:
-    """Idempotent most-general unifier of a1 and a2, or None."""
-    if a1.pred != a2.pred or len(a1.args) != len(a2.args):
-        return None
-    cells = {v: Cell() for a in (a1, a2) for v in atom_vars(a)}
-    trail: list = []
-    for t1, t2 in zip(a1.args, a2.args):
-        if not unify(apply_subst(cells, t1), apply_subst(cells, t2), trail, opts.occur_check):
-            return None
-    if not opts.occur_check and cyclic(trail):
-        return None
-    names = {c: v for v, c in cells.items() if c.ref is None}
-    return {v: resolve(c, names) for v, c in cells.items() if c.ref is not None}
-
-
-def mgu(t1: Term, t2: Term, opts: UnifyOptions = UnifyOptions()) -> Optional[Substitution]:
-    """Idempotent most-general unifier of t1 and t2, or None."""
-    return unify_atoms(Atom("", (t1,)), Atom("", (t2,)), opts)

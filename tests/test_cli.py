@@ -192,6 +192,26 @@ def test_query_long_derivation(capsys, len_file):
         assert out.count(",") == n
 
 
+def test_query_list_of_5000_variables(capsys, len_file):
+    # the query goes onto cells through iterative walkers, so a query term
+    # 5000 list cells long, with 5000 variables, answers
+    xs = ",".join(f"X{i}" for i in range(1, 5001))
+    code, out, _ = run(capsys, "query", len_file, f"len([{xs}],N)")
+    assert code == EXIT_OK
+    assert out.splitlines() == [f"len([{xs.replace('X', '_G')}],5000)", "1 answers"]
+
+
+def test_program_with_long_ground_terms(capsys, tmp_path):
+    # a clause is compiled in one iterative walk, so a fact holding a ground
+    # list 3000 cells long, or a numeral 3000 deep, loads and answers
+    items = [str(i % 10) for i in range(3000)]
+    f = tmp_path / "big.pl"
+    f.write_text("big([" + ",".join(items) + "]).\nbig(3000).\n")
+    code, out, _ = run(capsys, "query", str(f), "big(X)")
+    assert code == EXIT_OK
+    assert out.splitlines() == ["big([" + ",".join(items) + "])", "big(3000)", "2 answers"]
+
+
 def test_query_deep_non_list_answer(capsys, tmp_path):
     # an answer term nested 3001 deep off the list spine: printing it must
     # not recurse once per level

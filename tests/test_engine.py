@@ -20,14 +20,13 @@ from queenscheck.terms import (
     Query,
     Var,
     apply_subst,
-    apply_subst_atom,
-    atom_vars,
     clause_template,
     format_query,
     format_term,
     match_template,
+    term_vars,
 )
-from queenscheck.unify import unify_atoms
+from unify_oracle import mgu
 
 
 def test_zero_row_query_single_answer_unbound():
@@ -39,7 +38,7 @@ def test_zero_row_query_single_answer_unbound():
     assert all(isinstance(t, Var) for t in images)
     assert len(set(images)) == len(images)
     inst = ans.instantiated_query.atoms[0]
-    vs = atom_vars(inst)
+    vs = term_vars(inst.args)
     assert len(vs) == 3 and len(set(vs)) == 3
 
 
@@ -169,24 +168,27 @@ def _head_and_goal(draw):
 @settings(max_examples=300, deadline=None)
 @given(_head_and_goal())
 def test_one_clause_program_agrees_with_unify_atoms(case):
-    # unify_atoms keeps the full occurs scan, so it is the reference for the
-    # engine's pre-check, first-occurrence flags and cyclic rescan; its
-    # instance of the goal is the reference for the engine's head code
+    # the reference unifier keeps the full occurs scan, so it is the
+    # reference for the engine's pre-check, first-occurrence flags and
+    # cyclic rescan; its instance of the goal is the reference for the
+    # engine's head code
     head, goal = case
-    theta = unify_atoms(goal, head)
+    goal_term = Compound(goal.pred, goal.args)
+    theta = mgu(goal_term, Compound(head.pred, head.args))
     program = Program((Clause(head),))
     for occur_check in (True, False):
         answers = solve_answers(program, Query((goal,)), SolveOptions(occur_check=occur_check))
         assert len(answers) == (0 if theta is None else 1)
         if answers:
-            assert _canonical(answers[0].instantiated_query.atoms[0]) == _canonical(
-                apply_subst_atom(theta, goal))
+            got = answers[0].instantiated_query.atoms[0]
+            assert _canonical(Compound(got.pred, got.args)) == _canonical(
+                apply_subst(theta, goal_term))
 
 
-def _canonical(a):
-    """a with its variables renamed V0, V1, ... in order of first
-    occurrence: two atoms are variants exactly when these are equal."""
-    return apply_subst_atom({v: Var(f"V{i}") for i, v in enumerate(atom_vars(a))}, a)
+def _canonical(t):
+    """t with its variables renamed V0, V1, ... in order of first
+    occurrence: two terms are variants exactly when these are equal."""
+    return apply_subst({v: Var(f"V{i}") for i, v in enumerate(term_vars([t]))}, t)
 
 
 # --- golden streams -------------------------------------------------------------

@@ -19,8 +19,7 @@ from queenscheck.terms import (
     Clause,
     Compound,
     Var,
-    apply_subst_atom,
-    atom_depth,
+    apply_subst,
     clause_template,
     DEFAULT_SIGNATURE,
     MINIMAL_SIGNATURE,
@@ -35,6 +34,10 @@ from queenscheck.terms import (
 from queenscheck.verify import check_model
 
 SIG = DEFAULT_SIGNATURE
+
+
+def _atom_depth(a):
+    return max((term_depth(t) for t in a.args), default=0)
 
 
 def pq_fragment():
@@ -89,7 +92,7 @@ def test_ground_instances_ground_clause_identity():
 
 def test_ground_instances_skeleton_exceeds_bound():
     base = nqueens_program().clauses[2]  # head already has depth-1 structure
-    assert atom_depth(base.head) == 1
+    assert _atom_depth(base.head) == 1
     r = check_model(Program((base,)), spec_set("s"), SIG, 0)
     assert (r.verdict, r.instances_examined) == ("resource-capped", 0)
     assert r.parameters["clause_0_scan"] == "skipped: over budget"
@@ -151,10 +154,11 @@ def test_bound_depth_is_skeleton_depth_of_the_partial_instance(args, values):
     head = Atom("p", tuple(args))
     vs, tpl, _ = clause_template(Clause(head))
     profile = depth_profile(tpl)
-    assert profile[0] == atom_depth(head)
+    assert profile[0] == _atom_depth(head)
     slots = values[:len(vs)]
     sub = {v: t for v, t in zip(vs, slots) if t is not None}
-    assert bound_depth(profile, slots) == atom_depth(apply_subst_atom(sub, head))
+    assert bound_depth(profile, slots) == _atom_depth(
+        Atom("p", tuple(apply_subst(sub, t) for t in head.args)))
 
 
 def test_tp_fixpoint_default_pool_sizes():

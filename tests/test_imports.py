@@ -59,3 +59,27 @@ def test_one_binding_store():
                   for arg in (*node.args.posonlyargs, *node.args.args,
                               *node.args.kwonlyargs)]
         assert "bindings" not in params, name
+
+
+#: Public names with no caller in the package, each kept for a reason.
+NO_SRC_CALLER = {
+    "brute_force": "the tests' oracle for the engine's solutions",
+    "check_covered": "the coverage-witness API of the checkers",
+    "parse_term": "the parser's entry for a single term",
+}
+
+
+def test_every_public_name_has_a_src_caller():
+    # no public function or class exists only for its own tests: each
+    # module-level definition is named in the package outside itself
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))
+             if path.name != "__init__.py"]
+    names = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Name)]
+    uncalled = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+                own = set(map(id, ast.walk(node)))
+                if not any(n.id == node.name and id(n) not in own for n in names):
+                    uncalled.append(node.name)
+    assert sorted(uncalled) == sorted(NO_SRC_CALLER)

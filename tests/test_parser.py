@@ -9,8 +9,7 @@ from queenscheck.terms import (
     DEFAULT_SIGNATURE,
     NIL,
     Var,
-    atom_vars,
-    clause_vars,
+    clause_template,
     cons,
     format_clause,
     format_term,
@@ -25,7 +24,7 @@ def test_parse_unit_clause_fresh_underscores():
     c = p.clauses[0]
     assert c.head.pred == "pqs" and not c.body
     assert c.head.args[0] == numeral(0)
-    vs = atom_vars(c.head)
+    vs = clause_template(c)[0]
     assert len(vs) == 3 and len(set(vs)) == 3  # each _ is fresh
 
 
@@ -41,7 +40,7 @@ def test_parse_shared_variable_clause():
     for arg in c.head.args[1:]:
         assert arg.functor == "cons" and arg.args[0] == i
     # I plus three distinct tail variables
-    assert len(clause_vars(c)) == 4
+    assert len(clause_template(c)[0]) == 4
 
 
 def test_parse_terms():

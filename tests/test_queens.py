@@ -98,8 +98,9 @@ def test_brute_force_small():
     assert brute_force(4) == {QueensSolution((2, 4, 1, 3)), QueensSolution((3, 1, 4, 2))}
     with pytest.raises(ValueError):
         brute_force(0)
-    with pytest.raises(ValueError):
-        brute_force(11)
+    # the known solution counts (OEIS A000170), past the old n <= 10 cap
+    assert [len(brute_force(n)) for n in range(1, 13)] == [
+        1, 0, 0, 2, 10, 4, 40, 92, 352, 724, 2680, 14200]
 
 
 def test_solve_queens_matches_oracle_small():

@@ -18,7 +18,6 @@ from queenscheck.specs import (
     in_s0_pqs,
     in_s_pq,
     in_s_pqs,
-    level,
     sample_s,
     sample_s0,
     sample_s0_pqs,
@@ -35,9 +34,11 @@ from queenscheck.terms import (
     ZERO,
     cons,
     numeral,
+    term_depth,
 )
 
 SIG = DEFAULT_SIGNATURE
+level = QUEENS_LEVEL_MAPPING.atom_level
 
 
 def _atom(text):
@@ -175,7 +176,7 @@ def test_term_size_and_level():
     for a in islice(sample_s(SIG, 1), 0, None, 53):
         sizes = [spine(t)[0] for t in a.args]
         want = sizes[0] + sizes[1] if a.pred == "pqs" else sizes[1]
-        assert QUEENS_LEVEL_MAPPING.atom_level(a) == level(a) == want, a
+        assert level(a) == want, a
     assert QUEENS_LEVEL_MAPPING.linear_form(_atom("pqs(s(I),[a|Cs],U,D)")) == (
         2, {parse_term("I"): 1, parse_term("Cs"): 1})
 
@@ -213,9 +214,8 @@ def test_exactness_pool_contents():
 
 
 def test_sample_s_pq_respects_depth_bound():
-    from queenscheck.terms import atom_depth
     for a in islice(sample_s_pq(SIG, 2), 500):
-        assert atom_depth(a) <= 2
+        assert all(term_depth(t) <= 2 for t in a.args)
 
 
 def test_spec_set_lookup():

@@ -17,10 +17,7 @@ from queenscheck.terms import (
     Var,
     ZERO,
     apply_subst,
-    apply_subst_atom,
-    atom_depth,
     clause_template,
-    clause_vars,
     cons,
     distinct_members,
     format_atom,
@@ -38,7 +35,7 @@ from queenscheck.terms import (
     term_depth,
     term_vars,
 )
-from queenscheck.unify import unify_atoms
+from unify_oracle import mgu
 
 X, Y, V = Var("X"), Var("Y"), Var("V")
 a, b = Compound("a"), Compound("b")
@@ -116,8 +113,9 @@ def test_kth_member_closed_under_substitution(items, k, s):
 
 def test_term_vars_first_occurrence_order():
     t = Compound("f", (Y, cons(X, Y)))
-    assert term_vars(t) == [Y, X]
-    assert term_vars(a) == []
+    assert term_vars([t]) == [Y, X]
+    assert term_vars([a]) == []
+    assert term_vars([X, t, Compound("g", (V, Y))]) == [X, Y, V]
 
 
 def test_groundness():
@@ -132,8 +130,6 @@ def test_depths():
     assert term_depth(X) == 0
     assert term_depth(numeral(3)) == 3
     assert term_depth(make_list([a, b])) == 2
-    assert atom_depth(Atom("p")) == 0
-    assert atom_depth(Atom("p", (numeral(2), a))) == 2
 
 
 def test_formatting():
@@ -175,12 +171,13 @@ def test_program_accessors():
     ))
     assert len(p.clauses_for("p")) == 1
     assert p.predicates() == {"p": 1, "q": 2}
-    assert clause_vars(p.clauses[1]) == [X, Y]
+    assert clause_template(p.clauses[1])[0] == [X, Y]
 
 
 def test_apply_subst_atom_and_query():
+    # an atom is substituted argument by argument, as the engine's query is
     atom = Atom("p", (X, a))
-    assert apply_subst_atom({X: b}, atom) == Atom("p", (b, a))
+    assert tuple(apply_subst({X: b}, t) for t in atom.args) == (b, a)
     q = Query((atom,))
     assert q.atoms == (atom,)
 
@@ -196,6 +193,10 @@ def _terms(leaves, depth=3):
                      st.builds(lambda t, u: Compound("g", (t, u)), sub, sub))
 
 
+def _apply_subst_atom(s, a):
+    return Atom(a.pred, tuple(apply_subst(s, t) for t in a.args))
+
+
 def _atoms(pred, leaves):
     return st.lists(_terms(leaves), min_size=0, max_size=3).map(
         lambda args: Atom(pred, tuple(args)))
@@ -208,13 +209,13 @@ def _atoms(pred, leaves):
 def test_clause_template_agrees_with_apply_subst(head, body, data):
     c = Clause(head, tuple(body))
     vs, head_tpl, body_tpls = clause_template(c)
-    assert vs == clause_vars(c)
+    assert vs == term_vars([t for x in (head, *body) for t in x.args])
     slots = data.draw(st.lists(_terms([a, b, numeral(1)], 2),
                                min_size=len(vs), max_size=len(vs)))
     sub = dict(zip(vs, slots))
-    assert instantiate_atom(head_tpl, slots) == apply_subst_atom(sub, head)
+    assert instantiate_atom(head_tpl, slots) == _apply_subst_atom(sub, head)
     assert [instantiate_atom(t, slots) for t in body_tpls] == \
-        [apply_subst_atom(sub, x) for x in body]
+        [_apply_subst_atom(sub, x) for x in body]
 
 
 def _p(*args):
@@ -248,6 +249,6 @@ def test_match_template(pattern, values, other):
     assert match_template(tpl, Atom("q", fact.args), none) is None
     assert match_template(tpl, Atom("p", fact.args + (a,)), none) is None
     # against a ground atom, one-way matching gives the unifier
-    theta = unify_atoms(pattern, other)
+    theta = mgu(Compound(pattern.pred, pattern.args), Compound(other.pred, other.args))
     assert match_template(tpl, other, none) == (
         None if theta is None else [theta[v] for v in vs])

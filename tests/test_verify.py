@@ -12,7 +12,6 @@ from queenscheck.specs import (
     QUEENS_LEVEL_MAPPING,
     SpecSet,
     exactness_pool,
-    level,
     sample_s0_pqs,
     sample_s_pq,
     sample_s_pqs,
@@ -175,6 +174,7 @@ def test_recurrent_level_arithmetic_by_hand():
     head = _atom("pqs(1,[1,2],[0],[0,0])")
     b1 = _atom("pqs(0,[1,2],[0,0],[0])")
     b2 = _atom("pq(1,[1,2],[0],[0])")
+    level = QUEENS_LEVEL_MAPPING.atom_level
     assert level(head) == 3
     assert level(b1) == 2 and level(b2) == 2
     assert level(head) > level(b1) and level(head) > level(b2)
