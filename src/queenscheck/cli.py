@@ -11,6 +11,7 @@ import json
 import sys
 
 from .engine import SELECTION_RULES, SearchTruncated, SolveOptions, solve
+from .herbrand import DEFAULT_MAX_INSTANCES
 from .parser import ParseError, parse_program, parse_query
 from .queens import (
     initial_query,
@@ -61,12 +62,14 @@ def _load_signature(path) -> Signature:
     """Signature file: one `name arity` pair per line, # comments allowed."""
     symbols = []
     with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
+        for number, line in enumerate(fh, 1):
+            fields = line.split("#", 1)[0].split()
+            if not fields:
                 continue
-            name, arity = line.split()
-            symbols.append((name, int(arity)))
+            if len(fields) != 2 or not fields[1].isdecimal():
+                raise SignatureError(f"{path}, line {number}: expected `name arity`, "
+                                     f"found {line.strip()!r}")
+            symbols.append((fields[0], int(fields[1])))
     return Signature(frozenset(symbols))
 
 
@@ -74,20 +77,22 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="queenscheck")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--rule", choices=sorted(SELECTION_RULES), default="leftmost")
-        p.add_argument("--occur-check", choices=("on", "off"), default="on")
+    def common(p, engine: bool = True, signature: bool = True):
+        if engine:
+            p.add_argument("--rule", choices=sorted(SELECTION_RULES), default="leftmost")
+            p.add_argument("--occur-check", choices=("on", "off"), default="on")
         p.add_argument("--depth", type=_positive, default=None,
                        help="depth limit (solve/query) or base depth of the sampled "
-                            "verify suites (recurrent and bound ignore it)")
+                            "verify suites (recurrent, bound and rowshift ignore it)")
         p.add_argument("--format", choices=("text", "records"), default="text")
-        p.add_argument("--signature", default=None, help="signature file")
+        if signature:
+            p.add_argument("--signature", default=None, help="signature file")
 
     p_solve = sub.add_parser("solve", help="solve the n-queens board")
     p_solve.add_argument("n", type=_positive)
     p_solve.add_argument("--boards", action="store_true")
     p_solve.add_argument("--mutate", choices=mutant_names(), default=None)
-    common(p_solve)
+    common(p_solve, signature=False)
 
     p_query = sub.add_parser("query", help="run a query against a program file")
     p_query.add_argument("program")
@@ -98,12 +103,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=SUITES)
     p_verify.add_argument("--mutate", choices=mutant_names(), default=None)
-    p_verify.add_argument("--max-instances", type=_positive, default=None)
+    p_verify.add_argument("--max-instances", type=_positive, default=DEFAULT_MAX_INSTANCES,
+                          help="instance budget of the model suite (the other "
+                               "suites ignore it)")
     p_verify.add_argument("--n", type=_positive, default=4,
                           help="board size for the bound suite")
     p_verify.add_argument("--spec", default=None,
                           help="spec set name (default: s for model, s0 for covered)")
-    common(p_verify)
+    common(p_verify, engine=False)
     return top
 
 
@@ -170,16 +177,13 @@ def cmd_verify(args) -> int:
     sig = _load_signature(args.signature) if args.signature else DEFAULT_SIGNATURE
     program = mutant_program(args.mutate) if args.mutate else nqueens_program()
     depth = args.depth if args.depth is not None else 3
-    cap_kw = {}
-    if args.max_instances is not None:
-        cap_kw["max_instances"] = args.max_instances
 
     reports = []
     suites = SUITES[:-1] if args.suite == "all" else (args.suite,)
     for suite in suites:
         if suite == "model":
             spec = spec_set(args.spec or "s")
-            reports.append(check_model(program, spec, sig, depth, **cap_kw))
+            reports.append(check_model(program, spec, sig, depth, args.max_instances))
         elif suite == "covered":
             spec = spec_set(args.spec or "s0")
             reports.append(check_completeness_condition(program, spec, sig, depth))
@@ -196,8 +200,7 @@ def cmd_verify(args) -> int:
                 return EXIT_FAIL
             continue
         elif suite == "rowshift":
-            n_inst = args.max_instances if args.max_instances else 20_000
-            reports.append(check_row_shift(sig, n_instances=n_inst))
+            reports.append(check_row_shift())
         elif suite == "fixpoint":
             fragment = Program(program.clauses_for(PQ))
             pool = exactness_pool(sig)

@@ -149,12 +149,8 @@ def _default_pool(sig: Signature, max_depth: int) -> tuple:
             fillers.append(Compound(want))
     if not fillers:
         fillers = [Compound(consts[0])]
-    pool = list(fillers)
-    for n in range(1, max_depth + 1):
-        t = numeral(n)
-        if t not in pool:
-            pool.append(t)
-    return tuple(pool)
+    # the fillers are constants, so no numeral from 1 up is among them
+    return tuple(fillers) + tuple(numeral(n) for n in range(1, max_depth + 1))
 
 
 def tp_fixpoint(p: Program, sig: Signature, max_depth: int,

@@ -16,11 +16,12 @@ from .terms import (
     NIL,
     Program,
     Query,
+    SUCC,
     Signature,
     Term,
     Var,
+    ZERO,
     cons,
-    numeral,
 )
 
 
@@ -93,6 +94,7 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _Tokens(text)
         self._fresh = 0
+        self._numerals = [ZERO]  # numeral(n) at n; s(N) shares N
 
     def fresh_var(self) -> Var:
         self._fresh += 1
@@ -102,7 +104,10 @@ class _Parser:
         kind, val, line, col = self.toks.peek()
         if kind == "int":
             self.toks.next()
-            return numeral(int(val))
+            ns, n = self._numerals, int(val)
+            while len(ns) <= n:
+                ns.append(Compound(SUCC, (ns[-1],)))
+            return ns[n]
         if kind == "var":
             self.toks.next()
             if val == "_":

@@ -5,9 +5,10 @@ correctness specification (s_pq, s_pqs, their union s) or the completeness
 specification (s0_pqs, s0). Each set also carries a sampler enumerating a
 deterministic finite slice of the set, used by the bounded checks.
 
-Diagonal bookkeeping: in the context of row i, a queen j sitting in column
-k lies on up-diagonal k+j-i and down-diagonal k+i-j; equal numbers mean a
-shared diagonal, and the equality is independent of the context row.
+Diagonal bookkeeping (`DIAGONALS`): in the context of row i, a queen j
+sitting in column k lies on up-diagonal k+j-i and down-diagonal k-j+i;
+equal numbers mean a shared diagonal, and the equality is independent of
+the context row.
 """
 
 from dataclasses import dataclass
@@ -42,16 +43,14 @@ class PlacementTriple:
     ds: Term
 
 
-def up_diag_number(j: int, k: int, i: int) -> int:
-    """Up-diagonal number of queen j in column k, in the context of row i."""
-    return k + j - i
+#: The diagonal number of each list of a placement triple, as coefficients
+#: of (column k, queen j, context row i): queen j in column k sits at that
+#: position of the list.
+DIAGONALS = {"us": (1, 1, -1), "ds": (1, -1, 1)}
 
 
-def down_diag_number(j: int, k: int, i: int) -> int:
-    return k + i - j
-
-
-def correct_up_to(triple: PlacementTriple, m: int, i: int) -> bool:
+def correct_up_to(triple: PlacementTriple, m: int, i: int,
+                  diagonals: dict = DIAGONALS) -> bool:
     """The triple represents a correct placement of queens 1..m in the
     context of row i: cs is a proper list of distinct members containing
     1..m, the queens' diagonal numbers are pairwise distinct, and every
@@ -68,17 +67,15 @@ def correct_up_to(triple: PlacementTriple, m: int, i: int) -> bool:
         if t not in ms:
             return False
         positions[j] = ms.index(t) + 1
-    ups = [positions[j] + j for j in positions]
-    downs = [positions[j] - j for j in positions]
-    if len(set(ups)) != len(ups) or len(set(downs)) != len(downs):
-        return False
-    for j, k in positions.items():
-        l_up = up_diag_number(j, k, i)
-        if l_up > 0 and kth_member(triple.us, l_up) != numeral(j):
+    # two queens share a diagonal in any row iff they do with the row term dropped
+    for ck, cj, _ in diagonals.values():
+        if len({ck * k + cj * j for j, k in positions.items()}) != m:
             return False
-        l_down = down_diag_number(j, k, i)
-        if l_down > 0 and kth_member(triple.ds, l_down) != numeral(j):
-            return False
+    for name, (ck, cj, ci) in diagonals.items():
+        for j, k in positions.items():
+            pos = ck * k + cj * j + ci * i
+            if pos > 0 and kth_member(getattr(triple, name), pos) != numeral(j):
+                return False
     return True
 
 
@@ -234,13 +231,7 @@ def small_term_pool(sig: Signature, depth: int) -> tuple:
         for e2 in elems:
             for tl in tails:
                 pool.append(make_list([e1, e2], tl))
-    seen = set()
-    out = []
-    for t in pool:
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return tuple(out)
+    return tuple(dict.fromkeys(pool))
 
 
 def safe_placements(m: int, length: int, letters) -> Iterator[tuple]:
@@ -262,24 +253,21 @@ def safe_placements(m: int, length: int, letters) -> Iterator[tuple]:
 
 def diagonal_lists(cols, m: int, i: int, fill: Term,
                    us_tail: Term = NIL, ds_tail: Term = NIL,
-                   us_min: int = 0, ds_min: int = 0) -> tuple:
+                   us_min: int = 0, ds_min: int = 0,
+                   diagonals: dict = DIAGONALS) -> tuple:
     """(us, ds) forced by queens 1..m in columns cols in the context of row
     i: queen j at each positive diagonal number of its up- (down-)diagonal,
     fill at every other position, each list at least its minimum length
     before its tail."""
-    forced_up: dict = {}
-    forced_down: dict = {}
-    for j, k in enumerate(cols[:m], 1):
-        if up_diag_number(j, k, i) > 0:
-            forced_up[up_diag_number(j, k, i)] = numeral(j)
-        if down_diag_number(j, k, i) > 0:
-            forced_down[down_diag_number(j, k, i)] = numeral(j)
 
-    def filled(forced: dict, min_len: int, tail: Term) -> Term:
+    def filled(form: tuple, min_len: int, tail: Term) -> Term:
+        ck, cj, ci = form
+        forced = {ck * k + cj * j + ci * i: numeral(j) for j, k in enumerate(cols[:m], 1)}
         length = max([min_len, *forced])
         return make_list([forced.get(l, fill) for l in range(1, length + 1)], tail)
 
-    return filled(forced_up, us_min, us_tail), filled(forced_down, ds_min, ds_tail)
+    return (filled(diagonals["us"], us_min, us_tail),
+            filled(diagonals["ds"], ds_min, ds_tail))
 
 
 def sample_s0_pqs(sig: Signature, depth: int) -> Iterator[Atom]:
@@ -377,13 +365,8 @@ def exactness_pool(sig: Signature) -> tuple:
 
 
 def _pq_pool(sig: Signature, depth: int) -> tuple:
-    fill = filler_terms(sig, 2)
-    pool = list(fill)
-    for n in range(1, min(depth, 2) + 1):
-        t = numeral(n)
-        if t not in pool:
-            pool.append(t)
-    return tuple(pool)
+    # the fillers are constants, so no numeral from 1 up is among them
+    return filler_terms(sig, 2) + tuple(numeral(n) for n in range(1, min(depth, 2) + 1))
 
 
 def sample_s(sig: Signature, depth: int) -> Iterator[Atom]:

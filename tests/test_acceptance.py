@@ -39,6 +39,7 @@ from queenscheck.verify import (
 )
 
 from recurrence_oracle import enumerate_recurrent
+from rowshift_oracle import scan_row_shift
 
 SIG = DEFAULT_SIGNATURE
 
@@ -94,12 +95,14 @@ def test_criterion_3_completeness_and_recurrence():
 
 
 def test_criterion_4_row_shift_property():
-    r = check_row_shift(SIG, max_i=4, n_instances=120_000, seed=0)
+    proof = check_row_shift()
+    r = scan_row_shift(SIG, max_i=4, n_instances=120_000, seed=0)
     fwd = r.parameters["forward_premise_true"]
     bwd = r.parameters["backward_premise_true"]
-    ok = (r.verdict == "pass" and r.instances_examined >= 100_000
-          and fwd > 0 and bwd > 0)
-    _verdict(4, ok, f"{r.instances_examined} instances, 0 violations, "
+    ok = (proof.verdict == "pass" and r.verdict == "pass"
+          and r.instances_examined >= 100_000 and fwd > 0 and bwd > 0)
+    _verdict(4, ok, f"proved from {proof.instances_examined} conditions; scanned "
+                    f"{r.instances_examined} instances, 0 violations, "
                     f"premise true forward {fwd} / backward {bwd} times")
 
 

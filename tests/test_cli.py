@@ -122,9 +122,23 @@ def test_verify_recurrent_records(capsys):
 
 
 def test_verify_rowshift_capped_budget(capsys):
-    code, out, _ = run(capsys, "verify", "rowshift", "--max-instances", "2000")
-    assert code == EXIT_OK
-    assert "check_row_shift: pass" in out
+    # the row-shift suite is a proof: an instance budget changes nothing
+    outs = []
+    for budget in ("200", "60000"):
+        code, out, _ = run(capsys, "verify", "rowshift", "--max-instances", budget)
+        assert code == EXIT_OK
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert outs[0].startswith("check_row_shift: pass (")
+    assert outs[0].count("check_row_shift") == 1
+
+
+@pytest.mark.parametrize("argv", [("verify", "model", "--rule", "fair"),
+                                  ("verify", "model", "--occur-check", "off"),
+                                  ("solve", "4", "--signature", "f")])
+def test_subcommand_rejects_options_it_does_not_read(capsys, argv):
+    code, _, _ = run(capsys, *argv)
+    assert code == EXIT_USAGE
 
 
 def test_verify_model_resource_capped_exit(capsys):
@@ -178,6 +192,15 @@ def test_signature_file(capsys, tmp_path, prog_file):
     code, out, _ = run(capsys, "query", prog_file, "pqs(0,A,B,C)",
                        "--signature", str(sig))
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("bad", ["foo", "cons x", "cons 2 3"])
+def test_malformed_signature_line(capsys, tmp_path, prog_file, bad):
+    sig = tmp_path / "sig.txt"
+    sig.write_text(f"0 0\n# comment\n{bad}\n")
+    code, _, err = run(capsys, "query", prog_file, "pqs(0,A,B,C)", "--signature", str(sig))
+    assert code == EXIT_USAGE
+    assert err == f"error: {sig}, line 3: expected `name arity`, found {bad!r}\n"
 
 
 def test_query_long_derivation(capsys, len_file):

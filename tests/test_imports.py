@@ -31,6 +31,13 @@ def test_no_module_imports_a_private_name():
     assert bad == []
 
 
+def test_no_module_draws_random_numbers():
+    # every verdict is a function of the check's arguments
+    bad = [path.name for path in sorted(SRC.glob("*.py"))
+           if "random" in [module.split(".")[0] for module, _ in _imports(path)]]
+    assert bad == []
+
+
 def test_checkers_do_not_import_unify():
     # verify and herbrand build and match clause instances on slot
     # templates; unification belongs to the resolution engine

@@ -94,3 +94,12 @@ def test_numeral_printing_roundtrip():
         assert format_term(parse_term(format_term(parse_term(text)))) == format_term(
             parse_term(text)
         )
+
+
+def test_numerals_share_their_predecessors():
+    # a literal n reuses the numeral n-1 built before it in the same parse,
+    # so a list of consecutive numerals is linear to build
+    t = parse_term("[2,1]")
+    two, one = t.args[0], t.args[1].args[0]
+    assert (two, one) == (numeral(2), numeral(1))
+    assert two.args[0] is one

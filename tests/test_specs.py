@@ -7,10 +7,10 @@ from hypothesis import given, strategies as st
 
 from queenscheck.parser import parse_term
 from queenscheck.specs import (
+    DIAGONALS,
     PlacementTriple,
     QUEENS_LEVEL_MAPPING,
     correct_up_to,
-    down_diag_number,
     exactness_pool,
     filler_terms,
     in_s,
@@ -24,7 +24,6 @@ from queenscheck.specs import (
     sample_s_pq,
     spec_set,
     spine,
-    up_diag_number,
 )
 from queenscheck.terms import (
     Atom,
@@ -46,16 +45,22 @@ def _atom(text):
     return Atom(t.functor, t.args)
 
 
+def diag(name, j, k, i):
+    """Position of queen j in column k on list `name`, in the context of row i."""
+    ck, cj, ci = DIAGONALS[name]
+    return ck * k + cj * j + ci * i
+
+
 def test_diag_numbers():
     # queen 1 at column 2 in the context of row i
     for i in range(5):
-        assert up_diag_number(1, 2, i) == 3 - i
-        assert down_diag_number(1, 2, i) == 1 + i
+        assert diag("us", 1, 2, i) == 3 - i
+        assert diag("ds", 1, 2, i) == 1 + i
     # a queen on the context row: both numbers collapse to its column
-    assert up_diag_number(3, 4, 3) == 4
-    assert down_diag_number(3, 4, 3) == 4
-    assert up_diag_number(2, 3, 2) == 3
-    assert down_diag_number(1, 2, 1) == 2
+    assert diag("us", 3, 4, 3) == 4
+    assert diag("ds", 3, 4, 3) == 4
+    assert diag("us", 2, 3, 2) == 3
+    assert diag("ds", 1, 2, 1) == 2
 
 
 @given(
@@ -64,10 +69,10 @@ def test_diag_numbers():
     st.integers(0, 6), st.integers(0, 6),
 )
 def test_diag_equality_independent_of_context_row(j1, k1, j2, k2, i1, i2):
-    up_eq_1 = up_diag_number(j1, k1, i1) == up_diag_number(j2, k2, i1)
-    up_eq_2 = up_diag_number(j1, k1, i2) == up_diag_number(j2, k2, i2)
+    up_eq_1 = diag("us", j1, k1, i1) == diag("us", j2, k2, i1)
+    up_eq_2 = diag("us", j1, k1, i2) == diag("us", j2, k2, i2)
     assert up_eq_1 == up_eq_2 == (k1 + j1 == k2 + j2)
-    dn_eq_1 = down_diag_number(j1, k1, i1) == down_diag_number(j2, k2, i1)
+    dn_eq_1 = diag("ds", j1, k1, i1) == diag("ds", j2, k2, i1)
     assert dn_eq_1 == (k1 - j1 == k2 - j2)
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from queenscheck.parser import parse_program, parse_query, parse_term
 from queenscheck.queens import NQUEENS_SOURCE, mutant_program, nqueens_program
 from queenscheck.specs import (
+    DIAGONALS,
     LevelMapping,
     QUEENS_LEVEL_MAPPING,
     SpecSet,
@@ -47,6 +48,7 @@ from queenscheck.verify import (
 )
 
 from recurrence_oracle import enumerate_recurrent
+from rowshift_oracle import row_shift_instance, scan_row_shift
 
 SIG = DEFAULT_SIGNATURE
 
@@ -305,17 +307,79 @@ def test_fixpoint_exactness_detects_mismatch():
 
 
 def test_row_shift_small_run():
-    r = check_row_shift(SIG, max_i=3, n_instances=3_000, seed=7)
+    r = scan_row_shift(SIG, max_i=3, n_instances=3_000, seed=7)
     assert r.verdict == "pass"
     assert r.parameters["forward_premise_true"] > 0
     assert r.parameters["backward_premise_true"] > 0
+    assert check_row_shift().verdict == "pass"
 
 
 def test_row_shift_deterministic_for_seed():
-    r1 = check_row_shift(SIG, max_i=2, n_instances=1_000, seed=3)
-    r2 = check_row_shift(SIG, max_i=2, n_instances=1_000, seed=3)
+    r1 = scan_row_shift(SIG, max_i=2, n_instances=1_000, seed=3)
+    r2 = scan_row_shift(SIG, max_i=2, n_instances=1_000, seed=3)
     assert r1.parameters == r2.parameters
     assert r1.instances_examined == r2.instances_examined
+    assert check_row_shift().verdict == "pass"
+
+
+def test_row_shift_proof_on_diagonals():
+    r = check_row_shift()
+    assert (r.verdict, r.instances_examined, r.counterexamples) == ("pass", 3, [])
+    assert r.parameters == {
+        "us": "+1*k +1*j -1*i",
+        "ds": "+1*k -1*j +1*i",
+        "condition_1_row_coefficients": "i coefficient -1 in us, +1 in ds",
+        "condition_2_ds_head_unread": "ds = +1*k +0*j +1*(i-j) >= 1",
+        "condition_3_backward_witness": "the one queen with us = 1, as +1*k +1*j is distinct",
+    }
+
+
+def _oracle_reasons(cx, diagonals):
+    """The reasons the oracle gives on a one-queen witness of the proof."""
+    terms = {key: parse_term(cx.get(key, "0")) for key in ("cs", "us", "ds", "t", "t2")}
+    *_, found = row_shift_instance(terms["cs"], terms["us"], terms["ds"], terms["t"],
+                                   terms["t2"], cx["m"], cx["i"], diagonals=diagonals)
+    return [f["reason"] for f in found]
+
+
+#: Per list whose i coefficient is flipped: the first one-queen witness of
+#: the proof, and the oracle's reason on it.
+FLIPPED_WITNESS = {
+    "us": ({"conditions": "condition_1_row_coefficients", "cs": "[1,a,b,c]", "m": 1,
+            "i": 1, "us": "[0,1]", "ds": "[1]", "t": "0", "t2": "0",
+            "reason": "forward implication fails"},
+           "forward implication fails"),
+    "ds": ({"conditions": "condition_1_row_coefficients, condition_2_ds_head_unread",
+            "cs": "[a,b,1,c]", "m": 1, "i": 1, "us": "[0,1]", "ds": "[]", "t2": "0",
+            "reason": "no backward witness"},
+           "no backward witness in the bounded pool"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLIPPED_WITNESS))
+def test_row_shift_proof_rejects_flipped_row_sign(name):
+    ck, cj, ci = DIAGONALS[name]
+    flipped = {**DIAGONALS, name: (ck, cj, -ci)}
+    witness, oracle_reason = FLIPPED_WITNESS[name]
+    r = check_row_shift(flipped)
+    assert (r.verdict, r.counterexamples) == ("fail", [witness])
+    assert _oracle_reasons(witness, flipped) == [oracle_reason]
+    assert scan_row_shift(SIG, max_i=2, n_instances=500, seed=0,
+                          diagonals=flipped).verdict == "fail"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[st.integers(-2, 2)] * 6))
+def test_row_shift_proof_against_oracle(coefficients):
+    # a proof implies the oracle finds nothing on its structured instances;
+    # a refutation's witness is one the oracle refutes too
+    diagonals = {"us": coefficients[:3], "ds": coefficients[3:]}
+    r = check_row_shift(diagonals)
+    if r.verdict == "pass":
+        assert scan_row_shift(SIG, max_i=3, n_instances=0,
+                              diagonals=diagonals).verdict == "pass"
+    elif r.verdict == "fail":
+        assert _oracle_reasons(r.counterexamples[0], diagonals)
 
 
 # --- pinned work ---------------------------------------------------------------
@@ -398,9 +462,10 @@ def test_placement_samplers_and_row_shift_are_pinned():
         got = (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest())
         assert got == (count, digest), (name, depth)
 
-    r = check_row_shift(SIG, max_i=4, n_instances=5_000, seed=0)
+    r = scan_row_shift(SIG, max_i=4, n_instances=5_000, seed=0)
     assert (r.verdict, r.instances_examined) == ("pass", 5_000)
     assert r.parameters == {"max_i": 4, "n_instances": 5_000, "seed": 0,
                             "structured_instances": 222,
                             "forward_premise_true": 1_094,
                             "backward_premise_true": 1_302}
+    assert check_row_shift().verdict == "pass"
