@@ -125,8 +125,12 @@ def _solve_opts(args) -> SolveOptions:
 
 def cmd_solve(args) -> int:
     program = mutant_program(args.mutate) if args.mutate else nqueens_program()
-    sols = sorted(solve_queens(args.n, program, _solve_opts(args)),
-                  key=lambda s: s.columns_to_rows)
+    opts = _solve_opts(args)
+    try:
+        sols = sorted(solve_queens(args.n, program, opts), key=lambda s: s.columns_to_rows)
+    except ValueError as e:  # an answer that is not a solution of the board
+        print(f"error: wrong answer: {e}", file=sys.stderr)
+        return EXIT_FAIL
     for s in sols:
         if args.format == "records":
             print(json.dumps({"n": s.n, "rows": list(s.columns_to_rows)}))

@@ -171,8 +171,7 @@ def tp_fixpoint(p: Program, sig: Signature, max_depth: int,
         sig.check_term(t)
         if not is_ground(t):
             raise ValueError(f"pool term {format_term(t)} is not ground")
-    pool_depth = {t: term_depth(t) for t in pool}
-    deepest = max(pool_depth.values(), default=0)
+    deepest = max(map(term_depth, pool), default=0)
     compiled = []
     for c in p.clauses:
         vs, head, body = clause_template(c)
@@ -200,7 +199,7 @@ def tp_fixpoint(p: Program, sig: Signature, max_depth: int,
                     partial=frozenset(derived | new),
                     examined=examined,
                 )
-            if limits and any(pool_depth[combo[k]] > lim for k, lim in limits):
+            if limits and any(term_depth(combo[k]) > lim for k, lim in limits):
                 continue
             for i, u in zip(free, combo):
                 slots[i] = u

@@ -2,6 +2,12 @@
 
 Numbers are successor terms s(s(...s(0)...)); lists are cons/nil chains.
 Everything is immutable and hashable, so values can be shared freely.
+A `Compound` carries its hash and its depth, computed once when it is
+built, so set and dict operations and `term_depth` do not walk the term;
+equality walks it only when the hashes and functors agree, with an explicit
+stack on deep terms. Hashing, comparing, `term_depth`, `is_ground`,
+`Signature.check_term`, `apply_subst` and `format_term` are not bounded by
+the Python stack.
 """
 
 from dataclasses import dataclass, field
@@ -16,13 +22,73 @@ class Var:
         return f"Var({self.name})"
 
 
-@dataclass(frozen=True, slots=True)
+#: Compounds less deep than this compare their arguments by recursive
+#: `==`, which stays far below Python's recursion limit; deeper ones are
+#: walked with an explicit stack.
+_SHALLOW = 100
+
+
 class Compound:
-    functor: str
-    args: tuple = ()
+    """functor(args...), a constant when args is empty. `_hash` is
+    hash((functor, args)), the value a frozen dataclass of the two fields
+    has, and `depth` is `term_depth`'s; both are computed from the
+    children's when the term is built. Assignment raises."""
+
+    __slots__ = ("functor", "args", "_hash", "depth")
+
+    def __init__(self, functor: str, args: tuple = ()):
+        depth = 0
+        for a in args:
+            if a.__class__ is Compound and a.depth > depth:
+                depth = a.depth
+        _set_functor(self, functor)
+        _set_args(self, args)
+        _set_hash(self, hash((functor, args)))
+        _set_depth(self, depth + 1 if args else 0)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Compound is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Compound:
+            return NotImplemented
+        if self._hash != other._hash or self.functor != other.functor:
+            return False
+        if self.depth < _SHALLOW:
+            return self.args == other.args
+        todo = [(self.args, other.args)]
+        while todo:
+            xs, ys = todo.pop()
+            if len(xs) != len(ys):
+                return False
+            for u, v in zip(xs, ys):
+                if u is v:
+                    continue
+                if u.__class__ is not Compound or v.__class__ is not Compound:
+                    if u != v:
+                        return False
+                elif u._hash != v._hash or u.functor != v.functor:
+                    return False
+                else:
+                    todo.append((u.args, v.args))
+        return True
 
     def __repr__(self):
         return f"Compound({format_term(self)})"
+
+
+# Compound.__setattr__ raises, so __init__ stores through the slot descriptors.
+_set_functor = Compound.functor.__set__
+_set_args = Compound.args.__set__
+_set_hash = Compound._hash.__set__
+_set_depth = Compound.depth.__set__
 
 
 Term = Union[Var, Compound]
@@ -121,17 +187,21 @@ class Signature:
         return tuple(sorted((n, a) for n, a in self.symbols if a > 0))
 
     def check_term(self, t: Term):
-        if isinstance(t, Var):
-            return
-        a = self.arity(t.functor)
-        if a is None:
-            raise SignatureError(f"undeclared symbol {t.functor}/{len(t.args)}")
-        if a != len(t.args):
-            raise SignatureError(
-                f"arity mismatch: {t.functor} declared /{a}, used /{len(t.args)}"
-            )
-        for s in t.args:
-            self.check_term(s)
+        """Raise SignatureError at the first subterm, in text order, whose
+        symbol is undeclared or used with another arity; iterative."""
+        todo = [t]
+        while todo:
+            t = todo.pop()
+            if isinstance(t, Var):
+                continue
+            a = self.arity(t.functor)
+            if a is None:
+                raise SignatureError(f"undeclared symbol {t.functor}/{len(t.args)}")
+            if a != len(t.args):
+                raise SignatureError(
+                    f"arity mismatch: {t.functor} declared /{a}, used /{len(t.args)}"
+                )
+            todo.extend(reversed(t.args))
 
 
 #: Core constructors plus filler constants a..f used by the chessboard examples.
@@ -141,8 +211,6 @@ DEFAULT_SIGNATURE = Signature(
         + [(c, 0) for c in "abcdef"]
     )
 )
-
-MINIMAL_SIGNATURE = Signature(frozenset([("0", 0), ("s", 1), ("nil", 0), ("cons", 2)]))
 
 
 # --- numerals ---------------------------------------------------------------
@@ -250,16 +318,18 @@ def term_vars(ts) -> list:
 
 
 def is_ground(t: Term) -> bool:
-    if isinstance(t, Var):
-        return False
-    return all(is_ground(a) for a in t.args)
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        if isinstance(u, Var):
+            return False
+        todo.extend(u.args)
+    return True
 
 
 def term_depth(t: Term) -> int:
     """Constructor nesting depth; constants and variables are 0."""
-    if isinstance(t, Var) or not t.args:
-        return 0
-    return 1 + max(term_depth(a) for a in t.args)
+    return t.depth if t.__class__ is Compound else 0
 
 
 # --- compiled clauses -------------------------------------------------------

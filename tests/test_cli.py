@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -139,6 +140,17 @@ def test_verify_rowshift_capped_budget(capsys):
 def test_subcommand_rejects_options_it_does_not_read(capsys, argv):
     code, _, _ = run(capsys, *argv)
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("mutant", ["drop-ds-wrapper", "nonuniform-strip"])
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_solve_mutant_wrong_answer_fails(capsys, mutant, n):
+    # a mutant's answer that is no solution is a failed check, not a usage error
+    code, out, err = run(capsys, "solve", str(n), "--mutate", mutant)
+    assert code == EXIT_FAIL
+    assert out == ""
+    # the message names the rejected column list, n rows long
+    assert re.fullmatch(rf"error: wrong answer: .*\(\d+(, \d+){{{n - 1}}}\)\n", err)
 
 
 def test_verify_model_resource_capped_exit(capsys):

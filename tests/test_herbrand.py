@@ -22,9 +22,9 @@ from queenscheck.terms import (
     apply_subst,
     clause_template,
     DEFAULT_SIGNATURE,
-    MINIMAL_SIGNATURE,
     NIL,
     Program,
+    Signature,
     ZERO,
     cons,
     format_atom,
@@ -34,6 +34,7 @@ from queenscheck.terms import (
 from queenscheck.verify import check_model
 
 SIG = DEFAULT_SIGNATURE
+MINIMAL_SIGNATURE = Signature(frozenset([("0", 0), ("s", 1), ("nil", 0), ("cons", 2)]))
 
 
 def _atom_depth(a):

@@ -77,11 +77,13 @@ NO_SRC_CALLER = {
 
 
 def test_every_public_name_has_a_src_caller():
-    # no public function or class exists only for its own tests: each
-    # module-level definition is named in the package outside itself
+    # no public function, class or constant exists only for its own tests:
+    # each module-level definition is named in the package outside itself,
+    # and each module-level constant is read somewhere in the package
     trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))
              if path.name != "__init__.py"]
     names = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Name)]
+    read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
     uncalled = []
     for tree in trees:
         for node in tree.body:
@@ -89,4 +91,7 @@ def test_every_public_name_has_a_src_caller():
                 own = set(map(id, ast.walk(node)))
                 if not any(n.id == node.name and id(n) not in own for n in names):
                     uncalled.append(node.name)
+            elif isinstance(node, ast.Assign):
+                uncalled += [t.id for t in node.targets
+                             if isinstance(t, ast.Name) and t.id[0] != "_" and t.id not in read]
     assert sorted(uncalled) == sorted(NO_SRC_CALLER)

@@ -8,7 +8,6 @@ from queenscheck.terms import (
     Clause,
     Compound,
     DEFAULT_SIGNATURE,
-    MINIMAL_SIGNATURE,
     NIL,
     Program,
     Query,
@@ -39,6 +38,7 @@ from unify_oracle import mgu
 
 X, Y, V = Var("X"), Var("Y"), Var("V")
 a, b = Compound("a"), Compound("b")
+MINIMAL_SIGNATURE = Signature(frozenset([("0", 0), ("s", 1), ("nil", 0), ("cons", 2)]))
 
 
 def test_apply_subst_basic():
@@ -128,8 +128,87 @@ def test_groundness():
 def test_depths():
     assert term_depth(ZERO) == 0
     assert term_depth(X) == 0
+    assert term_depth(Compound("f", (X,))) == 1
     assert term_depth(numeral(3)) == 3
     assert term_depth(make_list([a, b])) == 2
+
+
+def _chain(functor, n, leaf):
+    for _ in range(n):
+        leaf = Compound(functor, (leaf,))
+    return leaf
+
+
+DEEP_SIGNATURE = Signature(frozenset([("0", 0), ("s", 1), ("c", 0), ("f", 1)]))
+
+
+@pytest.mark.parametrize("deep", [numeral(10_000), _chain("f", 10_000, Compound("c"))],
+                         ids=["numeral", "f-chain"])
+def test_walkers_return_on_deep_terms(deep):
+    assert is_ground(deep)
+    assert term_depth(deep) == 10_000
+    DEEP_SIGNATURE.check_term(deep)
+    assert not is_ground(_chain(deep.functor, 10_000, X))
+    with pytest.raises(SignatureError, match="undeclared symbol g/0"):
+        DEEP_SIGNATURE.check_term(_chain(deep.functor, 10_000, Compound("g")))
+
+
+def _plain(t):
+    """t as nested plain tuples (functor, (arguments...))."""
+    return (t.functor, tuple(_plain(u) for u in t.args))
+
+
+def _plain_depth(p):
+    return 1 + max(map(_plain_depth, p[1])) if p[1] else 0
+
+
+def _build(p, shared=None):
+    """The term of plain tuples p: with one object per distinct subterm when
+    shared is a dict, and a new object for every node (constants too) when
+    it is None."""
+    if shared is not None and p in shared:
+        return shared[p]
+    t = Compound(p[0], tuple(_build(u, shared) for u in p[1]))
+    if shared is not None:
+        shared[p] = t
+    return t
+
+
+_plains = st.recursive(
+    st.sampled_from([("a", ()), ("b", ())]),
+    lambda sub: st.tuples(st.sampled_from("fg"), st.lists(sub, min_size=1, max_size=3).map(tuple)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plains, _plains, st.booleans())
+def test_cached_hash_depth_and_equality_agree_with_plain_tuples(p, q, same):
+    q = p if same else q
+    s, t = _build(p, {}), _build(q)
+    assert _plain(s) == p and _plain(t) == q
+    # deeper than the recursive-comparison bound, so == walks a stack
+    ds, dt = _chain("f", 150, s), _chain("f", 150, t)
+    for x, y, px, py in ((s, t, p, q), (ds, dt, _plain(ds), _plain(dt))):
+        assert (x == y) == (px == py) == (y == x)
+        assert hash(x) == hash(px) and hash(y) == hash(py)
+        assert term_depth(x) == _plain_depth(px)
+    assert term_depth(ds) == term_depth(s) + 150
+
+
+@pytest.mark.parametrize("field", ["functor", "args", "depth"])
+def test_compound_is_immutable(field):
+    t = numeral(2)
+    with pytest.raises(AttributeError):
+        setattr(t, field, None)
+    with pytest.raises(AttributeError):
+        delattr(t, field)
+    assert t == numeral(2) and term_depth(t) == 2
+
+
+def test_deep_terms_hash_and_compare():
+    n, m = numeral(100_000), numeral(100_000)
+    assert n is not m and hash(n) == hash(m) and n == m
+    assert n != numeral(99_999) and n != Compound("s", (numeral(99_999), ZERO))
 
 
 def test_formatting():
