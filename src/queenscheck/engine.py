@@ -20,7 +20,8 @@ and, per head argument, its principal functor and a first-occurrence
 flag (see `unify.try_unify_atoms`). A clause whose head argument has a
 principal functor other than the goal argument's is skipped before its
 head code runs; the body atoms are built from the slots that head code
-fills, with a new cell for each variable that occurs only in the body.
+fills, with a new cell for each variable that occurs only in the body, by
+atom builders (`terms.atom_builder`) generated once per `solve` call.
 """
 
 from dataclasses import dataclass
@@ -35,8 +36,8 @@ from .terms import (
     Query,
     Var,
     apply_subst,
+    atom_builder,
     clause_template,
-    instantiate_atom,
     slot_walk,
     term_vars,
 )
@@ -100,7 +101,7 @@ class _Compiled:
     head_vars: int  # number of variables in the head; they come first
     body_vars: int  # number of variables that occur in the body only
     head: tuple  # atom template of the head (see terms.clause_template)
-    body: tuple  # atom template per body atom
+    body: tuple  # atom builder per body atom (see terms.atom_builder)
     checks: tuple  # (argument index, principal functor) of each compound head argument
     first_occurrence: tuple  # per head argument: linear, and all its variables new
 
@@ -122,7 +123,7 @@ def _compile(c: Clause) -> _Compiled:
         head_vars=len(seen),
         body_vars=len(vs) - len(seen),
         head=head,
-        body=body,
+        body=tuple(map(atom_builder, body)),
         checks=tuple((i, _principal(t)) for i, t in enumerate(c.head.args)
                      if t.__class__ is Compound),
         first_occurrence=tuple(first),
@@ -202,7 +203,7 @@ def _run(program: Program, query: Query, opts: SolveOptions
             continue
         if cc.body_vars:
             slots += [Cell() for _ in range(cc.body_vars)]
-        body = tuple([instantiate_atom(b, slots) for b in cc.body])
+        body = tuple([build(slots) for build in cc.body])
         goals = frame.goals[:frame.index] + body + frame.goals[frame.index + 1:]
         steps = frame.steps + 1
     if cut:

@@ -17,9 +17,9 @@ from .terms import (
     Program,
     Signature,
     Term,
+    atom_builder,
     clause_template,
     format_term,
-    instantiate_atom,
     is_ground,
     match_template,
     numeral,
@@ -102,28 +102,29 @@ def bound_depth(profile: tuple, slots) -> int:
 # --- immediate consequence -----------------------------------------------------
 
 def body_reads(tpls) -> tuple:
-    """(template, the slots it reads in order of first occurrence) for each
-    body atom template: the body that join_body takes."""
+    """(template, the slots it reads in order of first occurrence, its atom
+    builder) for each body atom template: the body that join_body takes."""
     return tuple((tpl, tuple(dict.fromkeys(leaf for leaf, _ in slot_walk(tpl[1])
-                                           if leaf.__class__ is int)))
+                                           if leaf.__class__ is int)),
+                  atom_builder(tpl))
                  for tpl in tpls)
 
 
 def join_body(body, slots: list, sources) -> Iterator[list]:
     """Extensions of slots that put every body atom inside its source.
 
-    body holds (template, slots it reads) pairs, and sources[k] is a pair
-    (facts by predicate, membership test) for body atom k: an atom with a
-    free slot is matched against the facts, a ground one is decided by the
-    test. The join never reads a yielded list again, so the caller may fill
-    its free slots."""
+    body holds the (template, slots it reads, builder) triples of
+    body_reads, and sources[k] is a pair (facts by predicate, membership
+    test) for body atom k: an atom with a free slot is matched against the
+    facts, a ground one is built and decided by the test. The join never
+    reads a yielded list again, so the caller may fill its free slots."""
     if not body:
         yield slots
         return
-    (tpl, reads), rest = body[0], body[1:]
+    (tpl, reads, build), rest = body[0], body[1:]
     facts, member = sources[0]
     if all(slots[i] is not None for i in reads):
-        if member(instantiate_atom(tpl, slots)):
+        if member(build(slots)):
             yield from join_body(rest, slots, sources[1:])
         return
     for fact in facts.get(tpl[0], ()):
@@ -175,11 +176,12 @@ def tp_fixpoint(p: Program, sig: Signature, max_depth: int,
     compiled = []
     for c in p.clauses:
         vs, head, body = clause_template(c)
-        compiled.append((body_reads(body), len(vs), head, depth_profile(head)))
+        compiled.append((body_reads(body), len(vs), atom_builder(head),
+                         depth_profile(head)))
     derived: set = set()
     examined = 0
 
-    def fire(head, profile, slots: list, new: set):
+    def fire(build, profile, slots: list, new: set):
         nonlocal examined
         # remaining free variables only deepen the head, so the depth with
         # the bound ones filled in is a lower bound that lets us skip
@@ -203,14 +205,14 @@ def tp_fixpoint(p: Program, sig: Signature, max_depth: int,
                 continue
             for i, u in zip(free, combo):
                 slots[i] = u
-            atom = instantiate_atom(head, slots)
+            atom = build(slots)
             if atom not in derived:
                 new.add(atom)
 
     new: set = set()
-    for body, n, head, profile in compiled:
+    for body, n, build, profile in compiled:
         if not body:
-            fire(head, profile, [None] * n, new)
+            fire(build, profile, [None] * n, new)
     derived |= new
     last = new
     # semi-naive rounds: a body join must use at least one last-round atom
@@ -218,11 +220,11 @@ def tp_fixpoint(p: Program, sig: Signature, max_depth: int,
         everything = (_index_by_pred(derived), derived.__contains__)
         latest = (_index_by_pred(last), last.__contains__)
         new = set()
-        for body, n, head, profile in compiled:
+        for body, n, build, profile in compiled:
             for j in range(len(body)):
                 sources = [latest if k == j else everything for k in range(len(body))]
                 for slots in join_body(body, [None] * n, sources):
-                    fire(head, profile, slots, new)
+                    fire(build, profile, slots, new)
         new -= derived
         derived |= new
         last = new

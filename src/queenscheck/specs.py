@@ -22,6 +22,7 @@ from .terms import (
     Signature,
     Term,
     Var,
+    ZERO,
     cons,
     distinct_members,
     kth_member,
@@ -123,12 +124,12 @@ def in_s_pqs(a: Atom) -> bool:
     return True
 
 
+_IN_S = {PQ: in_s_pq, PQS: in_s_pqs}
+
+
 def in_s(a: Atom) -> bool:
-    if a.pred == PQ:
-        return in_s_pq(a)
-    if a.pred == PQS:
-        return in_s_pqs(a)
-    return False
+    test = _IN_S.get(a.pred)
+    return test is not None and test(a)
 
 
 def in_s0_pqs(a: Atom) -> bool:
@@ -145,14 +146,18 @@ def in_s0_pqs(a: Atom) -> bool:
     return correct_up_to(PlacementTriple(cs, us, ds), i, i)
 
 
+def _in_s0_pqs_or_zero(a: Atom) -> bool:
+    if a.args and a.args[0] == ZERO:
+        return True
+    return in_s0_pqs(a)
+
+
+_IN_S0 = {PQ: in_s_pq, PQS: _in_s0_pqs_or_zero}
+
+
 def in_s0(a: Atom) -> bool:
-    if a.pred == PQ:
-        return in_s_pq(a)
-    if a.pred == PQS:
-        if a.args and a.args[0] == numeral(0):
-            return True
-        return in_s0_pqs(a)
-    return False
+    test = _IN_S0.get(a.pred)
+    return test is not None and test(a)
 
 
 # --- level mapping -------------------------------------------------------------

@@ -8,10 +8,20 @@ equality walks it only when the hashes and functors agree, with an explicit
 stack on deep terms. Hashing, comparing, `term_depth`, `is_ground`,
 `Signature.check_term`, `apply_subst` and `format_term` are not bounded by
 the Python stack.
+
+A clause compiles to slot templates (`clause_template`), and the instances
+of an atom template are built by its `atom_builder`: a function generated
+as Python source, in the manner of Warren's compiled clauses, so that
+building an instance runs no interpreter over the template. Callers make
+the builders once per clause: the checkers once per check, the engine once
+per `solve` call. The source names no constant, so the code of one
+template shape is compiled once and shared.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Union
+from zlib import crc32
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,13 +120,36 @@ def make_list(items, tail: Term = NIL) -> Term:
     return out
 
 
-@dataclass(frozen=True, slots=True)
 class Atom:
-    pred: str
-    args: tuple = ()
+    """pred(args...). Equality and the hash hash((pred, args)) are those of
+    a frozen dataclass of the two fields; nothing is cached, so an atom
+    holds its two slots only. Assignment raises."""
+
+    __slots__ = ("pred", "args")
+
+    def __init__(self, pred: str, args: tuple = ()):
+        _set_pred(self, pred)
+        _set_atom_args(self, args)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Atom is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return hash((self.pred, self.args))
+
+    def __eq__(self, other):
+        if other.__class__ is not Atom:
+            return NotImplemented
+        return self.pred == other.pred and self.args == other.args
 
     def __repr__(self):
         return f"Atom({format_atom(self)})"
+
+
+_set_pred = Atom.pred.__set__
+_set_atom_args = Atom.args.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -230,7 +263,7 @@ def numeral_value(t: Term) -> Optional[int]:
     while isinstance(t, Compound) and t.functor == SUCC and len(t.args) == 1:
         n += 1
         t = t.args[0]
-    if t == ZERO:
+    if t is ZERO or t == ZERO:
         return n
     return None
 
@@ -334,17 +367,9 @@ def term_depth(t: Term) -> int:
 
 # --- compiled clauses -------------------------------------------------------
 
-def _instantiate(tpl, slots):
-    """A template that is not a slot (callers look slots up themselves)."""
-    if tpl.__class__ is tuple:
-        return Compound(tpl[0], tuple([slots[a] if a.__class__ is int else _instantiate(a, slots)
-                                       for a in tpl[1]]))
-    return tpl
-
-
 def clause_template(c: Clause) -> tuple:
     """(variables, head template, body templates) of c, compiled once so
-    that each instance is built by `instantiate_atom` from a slot list:
+    that each instance is built by an `atom_builder` from a slot list:
     slot i holds the term for the i-th variable in first-occurrence order.
     In a template each variable is its slot, ground subterms stay as they
     are, and other compounds become (functor, argument templates).
@@ -374,17 +399,64 @@ def clause_template(c: Clause) -> tuple:
     return list(index), head, tuple(body)
 
 
-def instantiate_atom(tpl: tuple, slots) -> Atom:
-    """The atom of an atom template with slot i filled by slots[i], that is
-    the template's atom under the substitution of each variable by its slot."""
+def atom_builder(tpl: tuple):
+    """The function that takes a slot list to the atom of the atom template
+    tpl with slot i filled by slots[i], that is the template's atom under
+    the substitution of each variable by its slot.
+
+    Its source is generated once, with one flat statement per compound of
+    tpl that holds a slot, children first, then the atom. The predicate,
+    the functors and the ground subterms reach it through the tuple of
+    constants k, never as source text, so templates of one shape share
+    one compiled code. The walk is iterative and the built function does
+    not recurse, so template depth is not bounded by the Python stack."""
     pred, args = tpl
-    return Atom(pred, tuple([slots[t] if t.__class__ is int else _instantiate(t, slots)
-                             for t in args]))
+    consts: list = []  # the predicate, functors and ground subterms
+
+    def const(x) -> str:
+        consts.append(x)
+        return f"k[{len(consts) - 1}]"
+
+    def tuple_text(items) -> str:
+        return "(" + "".join(x + ", " for x in items) + ")"
+
+    lines = []  # one statement per compound that holds a slot
+    done: list = []  # the expressions of finished templates, left to right
+    todo = list(args)[::-1]  # templates to visit, and [functor, arity] to
+    # build from done
+    while todo:
+        u = todo.pop()
+        if u.__class__ is int:
+            done.append(f"s[{u}]")
+        elif u.__class__ is list:
+            functor, n = u
+            lines.append(f"    t{len(lines)} = C({const(functor)}, "
+                         f"{tuple_text(done[len(done) - n:])})")
+            del done[len(done) - n:]
+            done.append(f"t{len(lines) - 1}")
+        elif u.__class__ is tuple:
+            todo.append([u[0], len(u[1])])
+            todo.extend(reversed(u[1]))
+        else:
+            done.append(const(u))
+    lines.append(f"    return A({const(pred)}, {tuple_text(done)})")
+    scope = {"C": Compound, "A": Atom, "k": tuple(consts)}
+    exec(_compiled("\n".join(["def build(s):", *lines])), scope)
+    return scope.pop("build")  # so that the function and its globals form no cycle
+
+
+@lru_cache(maxsize=256)
+def _compiled(source: str):
+    """The code of a builder's source, compiled once per shape of template
+    (in any clause, check or `solve` call) while it stays in the cache. The
+    file name differs by shape, as profilers key functions by file, line
+    and name."""
+    return compile(source, f"<atom_builder {crc32(source.encode()):08x}>", "exec")
 
 
 def match_template(tpl: tuple, a: Atom, slots) -> Optional[list]:
     """A copy of slots with its empty (None) slots filled so that
-    instantiate_atom(tpl, copy) is a, or None if no filling does that.
+    atom_builder(tpl)(copy) is a, or None if no filling does that.
     Slots already filled must agree with a, and a compound of tpl never
     matches a variable of a."""
     pred, args = tpl

@@ -42,12 +42,12 @@ from .terms import (
     Query,
     Signature,
     ZERO,
+    atom_builder,
     clause_template,
     cons,
     format_atom,
     format_clause,
     format_term,
-    instantiate_atom,
     match_template,
     numeral,
 )
@@ -172,6 +172,7 @@ def check_model(program: Program, spec: SpecSet,
             report.capped = True
             break
         vs, head_tpl, body_tpls = clause_template(c)
+        build = atom_builder(head_tpl)
         if not c.body:
             got = _uniform_pools(head_tpl, sig, depth, share)
             if got is None:
@@ -184,7 +185,7 @@ def check_model(program: Program, spec: SpecSet,
             # is the slot list of one instance
             for combo in product(*pools):
                 report.instances_examined += 1
-                head = instantiate_atom(head_tpl, combo)
+                head = build(combo)
                 if not spec.contains(head):
                     report.add_counterexample({
                         "clause": format_clause(c),
@@ -208,9 +209,9 @@ def check_model(program: Program, spec: SpecSet,
                         break
                     for i, t in zip(free, combo):
                         slots[i] = t
-                    head = instantiate_atom(head_tpl, slots)
+                    head = build(slots)
                     if not spec.contains(head):
-                        body_inst = tuple(instantiate_atom(b, slots) for b in body_tpls)
+                        body_inst = tuple(build_body(slots) for _, _, build_body in body)
                         report.add_counterexample({
                             "clause": format_clause(c),
                             "instance": format_clause(Clause(head, body_inst)),
@@ -236,7 +237,8 @@ def _coverer(program: Program, spec: SpecSet, sig: Signature, depth: int):
     compiled = []
     for c in program.clauses:
         vs, head_tpl, body_tpls = clause_template(c)
-        compiled.append((c, len(vs), head_tpl, body_reads(body_tpls)))
+        compiled.append((c, len(vs), head_tpl, atom_builder(head_tpl),
+                         body_reads(body_tpls)))
     extra = list(filler_terms(sig, 2)) + [numeral(n) for n in range(0, depth + 1)]
 
     def pool_for(a: Atom) -> tuple:
@@ -258,32 +260,29 @@ def _coverer(program: Program, spec: SpecSet, sig: Signature, depth: int):
             nonlocal pool
             if k == len(body):
                 return True
-            tpl, reads = body[k]
+            _, reads, build = body[k]
             free = [i for i in reads if slots[i] is None]
             if not free:
-                return (spec.contains(instantiate_atom(tpl, slots))
-                        and ground_body(body, k + 1, slots))
+                return spec.contains(build(slots)) and ground_body(body, k + 1, slots)
             if pool is None:
                 pool = pool_for(a)
             for combo in product(pool, repeat=len(free)):
                 for i, t in zip(free, combo):
                     slots[i] = t
-                if (spec.contains(instantiate_atom(tpl, slots))
-                        and ground_body(body, k + 1, slots)):
+                if spec.contains(build(slots)) and ground_body(body, k + 1, slots):
                     return True
             for i in free:
                 slots[i] = None
             return False
 
-        for c, n, head_tpl, body in compiled:
+        for c, n, head_tpl, build_head, body in compiled:
             # a is ground, so matching the head gives the unifier
             slots = match_template(head_tpl, a, [None] * n)
             if slots is None:
                 continue
             if ground_body(body, 0, slots):
-                return CoverWitness(c, Clause(instantiate_atom(head_tpl, slots),
-                                              tuple(instantiate_atom(b, slots)
-                                                    for b, _ in body)))
+                return CoverWitness(c, Clause(build_head(slots),
+                                              tuple(build(slots) for _, _, build in body)))
         return None
 
     return cover
@@ -357,8 +356,8 @@ def check_recurrent(program: Program,
             long = numeral(max(constant, 0))
             vs, head_tpl, body_tpls = clause_template(c)
             slots = [long if coefficients.get(v, 0) < 0 else ZERO for v in vs]
-            inst = Clause(instantiate_atom(head_tpl, slots),
-                          tuple(instantiate_atom(x, slots) for x in body_tpls))
+            inst = Clause(atom_builder(head_tpl)(slots),
+                          tuple(atom_builder(x)(slots) for x in body_tpls))
             report.add_counterexample({
                 **where,
                 "instance": format_clause(inst),
@@ -405,14 +404,15 @@ def check_fixpoint_exactness(program: Program, expected: Iterable[Atom],
         fix = e.partial or frozenset()
         report.capped = True
     want = set(expected)
+    fix_only, want_only = fix - want, want - fix
     report.parameters["fixpoint_size"] = len(fix)
     report.parameters["expected_size"] = len(want)
-    report.instances_examined = len(fix | want)
-    for a in sorted(fix - want, key=format_atom)[:CheckReport.MAX_RECORDED]:
+    report.instances_examined = len(fix) + len(want_only)
+    for a in sorted(fix_only, key=format_atom)[:CheckReport.MAX_RECORDED]:
         report.add_counterexample({"atom": format_atom(a), "reason": "in fixpoint only"})
-    for a in sorted(want - fix, key=format_atom)[:CheckReport.MAX_RECORDED]:
+    for a in sorted(want_only, key=format_atom)[:CheckReport.MAX_RECORDED]:
         report.add_counterexample({"atom": format_atom(a), "reason": "in expected slice only"})
-    report.parameters["symmetric_difference"] = len(fix ^ want)
+    report.parameters["symmetric_difference"] = len(fix_only) + len(want_only)
     return report
 
 

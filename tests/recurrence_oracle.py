@@ -9,9 +9,9 @@ from queenscheck.specs import filler_terms
 from queenscheck.terms import (
     Clause,
     Compound,
+    atom_builder,
     clause_template,
     format_clause,
-    instantiate_atom,
     make_list,
     numeral,
     term_depth,
@@ -53,6 +53,7 @@ def enumerate_recurrent(program, lm, sig, depth: int,
         if not c.body:
             continue
         vs, head_tpl, body_tpls = clause_template(c)
+        build_head, build_body = atom_builder(head_tpl), list(map(atom_builder, body_tpls))
         share = max_instances - report.instances_examined
         n = len(pool)
         while n > 1 and n ** len(vs) > share:
@@ -63,17 +64,16 @@ def enumerate_recurrent(program, lm, sig, depth: int,
         report.parameters[f"clause_{ci}_pool"] = n
         for combo in product(pool[:n], repeat=len(vs)):
             report.instances_examined += 1
-            head = instantiate_atom(head_tpl, combo)
+            head = build_head(combo)
             try:
                 hl = lm.atom_level(head)
-                for b in body_tpls:
-                    bi = instantiate_atom(b, combo)
+                for build in build_body:
+                    bi = build(combo)
                     if lm.atom_level(bi) >= hl:
                         report.add_counterexample({
                             "clause": format_clause(c),
                             "instance": format_clause(
-                                Clause(head, tuple(instantiate_atom(x, combo)
-                                                   for x in body_tpls))
+                                Clause(head, tuple(f(combo) for f in build_body))
                             ),
                             "reason": f"level {lm.atom_level(bi)} of a body atom "
                                       f"is not below head level {hl}",

@@ -247,6 +247,17 @@ def test_program_with_long_ground_terms(capsys, tmp_path):
     assert out.splitlines() == ["big([" + ",".join(items) + "])", "big(3000)", "2 answers"]
 
 
+def test_program_with_a_long_open_list_in_a_body(capsys, tmp_path):
+    # a body atom is built by generated code with one flat statement per
+    # list cell, so a 3000-cell list ending in a variable answers
+    items = ",".join(str(i % 10) for i in range(3000))
+    f = tmp_path / "open.pl"
+    f.write_text(f"p(Y) :- q([{items}|Y]).\nq(_).\n")
+    code, out, _ = run(capsys, "query", str(f), "p(a)")
+    assert code == EXIT_OK
+    assert out.splitlines() == ["p(a)", "1 answers"]
+
+
 def test_query_deep_non_list_answer(capsys, tmp_path):
     # an answer term nested 3001 deep off the list spine: printing it must
     # not recurse once per level

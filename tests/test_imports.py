@@ -38,6 +38,15 @@ def test_no_module_draws_random_numbers():
     assert bad == []
 
 
+def test_only_terms_runs_generated_code():
+    # terms compiles the atom builders; no other module turns text into code
+    bad = [path.name for path in sorted(SRC.glob("*.py")) if path.name != "terms.py"
+           for node in ast.walk(ast.parse(path.read_text()))
+           if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+           and node.func.id in ("exec", "eval", "compile")]
+    assert bad == []
+
+
 def test_checkers_do_not_import_unify():
     # verify and herbrand build and match clause instances on slot
     # templates; unification belongs to the resolution engine

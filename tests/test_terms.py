@@ -16,13 +16,13 @@ from queenscheck.terms import (
     Var,
     ZERO,
     apply_subst,
+    atom_builder,
     clause_template,
     cons,
     distinct_members,
     format_atom,
     format_clause,
     format_term,
-    instantiate_atom,
     is_ground,
     is_proper_list,
     kth_member,
@@ -281,20 +281,88 @@ def _atoms(pred, leaves):
         lambda args: Atom(pred, tuple(args)))
 
 
-@settings(max_examples=300, deadline=None)
-@given(_atoms("p", [Var("A"), Var("B"), Var("C"), a]),
-       st.lists(_atoms("q", [Var("A"), Var("B"), Var("D"), b]), max_size=2),
-       st.data())
-def test_clause_template_agrees_with_apply_subst(head, body, data):
-    c = Clause(head, tuple(body))
+@st.composite
+def _deep_terms(draw, leaves):
+    """Terms over leaves, f/1 and g/2, nested up to 150 deep: a term t of
+    `_terms` wrapped in up to 148 more cells, each f(t), g(t, u) or
+    g(u, t), where u is one term shared by all the g cells."""
+    t, u = draw(_terms(leaves, 2)), draw(_terms(leaves, 1))
+    n = draw(st.integers(0, 148))
+    for kind in draw(st.lists(st.sampled_from("fgG"), min_size=n, max_size=n)):
+        args = {"f": (t,), "g": (t, u), "G": (u, t)}[kind]
+        t = Compound("f" if kind == "f" else "g", args)
+    return t
+
+
+@st.composite
+def _clauses(draw):
+    """Clauses p(...) :- q(...), ... whose templates nest up to 150 deep,
+    with ground subterms, body arguments shared with the head, and a
+    variable D that occurs only in the body."""
+    head_terms = _deep_terms([Var("A"), Var("B"), Var("C"), a, make_list([a])])
+    head = Atom("p", tuple(draw(st.lists(head_terms, max_size=3))))
+    body_terms = _deep_terms([Var("A"), Var("B"), Var("D"), b, numeral(2)])
+    if head.args:
+        body_terms = st.one_of(body_terms, st.sampled_from(head.args))
+    body = draw(st.lists(st.lists(body_terms, max_size=3), max_size=2))
+    return Clause(head, tuple(Atom("q", tuple(args)) for args in body))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_clauses(), st.data())
+def test_clause_template_agrees_with_apply_subst(c, data):
+    # an atom builder fills a template's slots as the substitution of the
+    # clause's variables does
     vs, head_tpl, body_tpls = clause_template(c)
-    assert vs == term_vars([t for x in (head, *body) for t in x.args])
+    assert vs == term_vars([t for x in (c.head, *c.body) for t in x.args])
     slots = data.draw(st.lists(_terms([a, b, numeral(1)], 2),
                                min_size=len(vs), max_size=len(vs)))
     sub = dict(zip(vs, slots))
-    assert instantiate_atom(head_tpl, slots) == _apply_subst_atom(sub, head)
-    assert [instantiate_atom(t, slots) for t in body_tpls] == \
-        [_apply_subst_atom(sub, x) for x in body]
+    for tpl, atom in zip((head_tpl, *body_tpls), (c.head, *c.body)):
+        assert atom_builder(tpl)(slots) == _apply_subst_atom(sub, atom)
+
+
+def test_atom_builder_takes_any_name():
+    # names reach a builder as constants, not as source text, so quotes, a
+    # newline and a closing parenthesis come back unchanged
+    pred, functor = "p'\")\n", "f(\"'\n)"
+    c = Clause(Atom(pred, (Compound(functor, (X, Compound(functor))), X)))
+    _, tpl, _ = clause_template(c)
+    got = atom_builder(tpl)([b])
+    assert got == Atom(pred, (Compound(functor, (b, Compound(functor))), b))
+    assert got.pred == pred and got.args[0].functor == functor
+    # a template of the same shape shares the code, not the constants
+    _, same_shape, _ = clause_template(Clause(Atom("q", (Compound("g", (X, a)), X))))
+    assert atom_builder(same_shape)([b]) == Atom("q", (Compound("g", (b, a)), b))
+
+
+def test_atom_builder_on_a_long_open_list():
+    # the body of p(Y) :- q([0,1,...,9,0,...|Y]) with 3000 cells: the
+    # builder has one flat statement per cell, so it does not recurse
+    items = [numeral(i % 10) for i in range(3000)]
+    c = Clause(Atom("p", (Y,)), (Atom("q", (make_list(items, Y),)),))
+    _, _, (tpl,) = clause_template(c)
+    assert atom_builder(tpl)([a]) == Atom("q", (make_list(items, a),))
+
+
+@pytest.mark.parametrize("field", ["pred", "args"])
+def test_atom_is_immutable(field):
+    atom = Atom("p", (X, a))
+    with pytest.raises(AttributeError):
+        setattr(atom, field, None)
+    with pytest.raises(AttributeError):
+        delattr(atom, field)
+    assert atom == Atom("p", (X, a))
+
+
+def test_atom_hash_equality_and_repr():
+    # as a frozen dataclass of the two fields has them
+    atom = Atom("p", (X, numeral(1)))
+    assert hash(atom) == hash(("p", (X, numeral(1))))
+    assert atom == Atom("p", (X, numeral(1))) and atom != Atom("q", atom.args)
+    assert (atom == ("p", atom.args)) is False
+    assert (atom == Compound("p", atom.args)) is False
+    assert repr(atom) == "Atom(p(X,1))"
 
 
 def _p(*args):
@@ -314,7 +382,7 @@ def _p(*args):
 def test_match_template(pattern, values, other):
     vs, tpl, _ = clause_template(Clause(pattern))
     slots = values[:len(vs)]
-    fact = instantiate_atom(tpl, slots)
+    fact = atom_builder(tpl)(slots)
     none = [None] * len(vs)
     # filling the slots and matching the result gives them back, from no
     # slot filled or from any one filled slot that agrees
