@@ -3,7 +3,9 @@
 Clauses are `head :- b1, b2.` or `head.`; lists are `[a,b|T]` and `[]`;
 variables start with an uppercase letter or `_`; a bare `_` is a fresh
 variable per occurrence; decimal integers desugar to successor numerals;
-comments run from `%` to end of line.
+comments run from `%` to end of line. Terms are read by one loop with an
+explicit stack of open compounds and lists, so their nesting depth is not
+bounded by the Python stack.
 """
 
 import re
@@ -21,7 +23,7 @@ from .terms import (
     Term,
     Var,
     ZERO,
-    cons,
+    make_list,
 )
 
 
@@ -40,187 +42,154 @@ _TOKEN_RE = re.compile(
     | (?P<int>\d+)
     | (?P<var>[A-Z_][A-Za-z0-9_]*)
     | (?P<name>[a-z][A-Za-z0-9_]*)
+    | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-class _Tokens:
+class _Parser:
+    """Reads a list of (kind, text, offset) tokens from left to right.
+    Punctuation and `:-` are told apart by their text, which no other kind
+    of token shares; the list ends in an `eof` token with empty text."""
+
     def __init__(self, text: str):
         self.text = text
-        self.toks = []
-        pos = 0
-        line, col = 1, 1
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-            kind = m.lastgroup
-            val = m.group(0)
-            if kind != "ws":
-                self.toks.append((kind, val, line, col))
-            nl = val.count("\n")
-            if nl:
-                line += nl
-                col = len(val) - val.rfind("\n")
-            else:
-                col += len(val)
-            pos = m.end()
-        self.toks.append(("eof", "", line, col))
+        self.toks = [(m.lastgroup, m.group(), m.start())
+                     for m in _TOKEN_RE.finditer(text) if m.lastgroup != "ws"]
+        for kind, val, at in self.toks:
+            if kind == "bad":
+                raise self.error(f"unexpected character {val!r}", at)
+        self.toks.append(("eof", "", len(text)))
         self.i = 0
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def next(self):
-        t = self.toks[self.i]
-        if t[0] != "eof":
-            self.i += 1
-        return t
-
-    def expect(self, kind: str, val: Optional[str] = None):
-        k, v, line, col = self.peek()
-        if k != kind or (val is not None and v != val):
-            want = val if val is not None else kind
-            raise ParseError(f"expected {want!r}, found {v or 'end of input'!r}", line, col)
-        return self.next()
-
-    def error(self, msg: str):
-        _, v, line, col = self.peek()
-        raise ParseError(msg, line, col)
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.toks = _Tokens(text)
         self._fresh = 0
         self._numerals = [ZERO]  # numeral(n) at n; s(N) shares N
+        self._arity = {}  # predicate -> the arity of its first atom
 
-    def fresh_var(self) -> Var:
-        self._fresh += 1
-        return Var(f"_G{self._fresh}")
+    def error(self, msg: str, at: int) -> ParseError:
+        line = self.text.count("\n", 0, at) + 1
+        return ParseError(msg, line, at - self.text.rfind("\n", 0, at))
 
-    def term(self) -> Term:
-        kind, val, line, col = self.toks.peek()
-        if kind == "int":
-            self.toks.next()
-            ns, n = self._numerals, int(val)
-            while len(ns) <= n:
-                ns.append(Compound(SUCC, (ns[-1],)))
-            return ns[n]
-        if kind == "var":
-            self.toks.next()
-            if val == "_":
-                return self.fresh_var()
-            return Var(val)
-        if kind == "punct" and val == "[":
-            return self.list_term()
-        if kind == "name":
-            self.toks.next()
-            if self.toks.peek()[:2] == ("punct", "("):
-                self.toks.next()
-                args = self.term_list()
-                self.toks.expect("punct", ")")
-                return Compound(val, tuple(args))
-            return Compound(val)
-        self.toks.error(f"expected a term, found {val or 'end of input'!r}")
+    def expected(self, want: str, i: int) -> ParseError:
+        _, val, at = self.toks[i]
+        return self.error(f"expected {want}, found {val or 'end of input'!r}", at)
 
-    def list_term(self) -> Term:
-        self.toks.expect("punct", "[")
-        if self.toks.peek()[:2] == ("punct", "]"):
-            self.toks.next()
-            return NIL
-        items = self.term_list()
-        tail: Term = NIL
-        if self.toks.peek()[:2] == ("punct", "|"):
-            self.toks.next()
-            tail = self.term()
-        self.toks.expect("punct", "]")
-        out = tail
-        for item in reversed(items):
-            out = cons(item, out)
-        return out
+    def end(self, what: str):
+        kind, _, at = self.toks[self.i]
+        if kind != "eof":
+            raise self.error(f"trailing input after {what}", at)
 
-    def term_list(self):
-        items = [self.term()]
-        while self.toks.peek()[:2] == ("punct", ","):
-            self.toks.next()
-            items.append(self.term())
-        return items
+    def term(self, top=Compound) -> Term:
+        """The term at the next token; `top` builds it if it is a compound.
+        An open compound waits on the stack as [functor, args], an open
+        list as ["[", items], or as ["|", items] once its tail is due."""
+        toks, i, stack = self.toks, self.i, []
+        while True:
+            kind, val, _ = toks[i]
+            i += 1
+            if kind == "int":
+                ns, n = self._numerals, int(val)
+                while len(ns) <= n:
+                    ns.append(Compound(SUCC, (ns[-1],)))
+                t = ns[n]
+            elif kind == "var":
+                if val == "_":
+                    self._fresh += 1
+                    val = f"_G{self._fresh}"
+                t = Var(val)
+            elif kind == "name" and toks[i][1] == "(":
+                stack.append([val, []])
+                i += 1
+                continue
+            elif kind == "name":
+                t = (Compound if stack else top)(val)
+            elif val == "[" and toks[i][1] == "]":
+                t = NIL
+                i += 1
+            elif val == "[":
+                stack.append(["[", []])
+                continue
+            else:
+                raise self.expected("a term", i - 1)
+            while stack:  # t is the next argument, item or tail of stack[-1]
+                frame = stack[-1]
+                opened, items = frame
+                sep = toks[i][1]
+                if opened != "|":
+                    items.append(t)
+                    if sep == ",":
+                        i += 1
+                        break
+                    if sep == "|" and opened == "[":
+                        frame[0] = "|"
+                        i += 1
+                        break
+                close = "]" if opened in ("[", "|") else ")"
+                if sep != close:
+                    raise self.expected(repr(close), i)
+                i += 1
+                stack.pop()
+                if close == ")":
+                    t = (Compound if stack else top)(opened, tuple(items))
+                else:
+                    t = make_list(items, t if opened == "|" else NIL)
+            else:
+                self.i = i
+                return t
 
     def atom(self) -> Atom:
-        _, val, line, col = self.toks.peek()
-        if self.toks.peek()[0] != "name":
-            self.toks.error(f"expected a predicate name, found {val or 'end of input'!r}")
-        self.toks.next()
-        args = ()
-        if self.toks.peek()[:2] == ("punct", "("):
-            self.toks.next()
-            args = tuple(self.term_list())
-            self.toks.expect("punct", ")")
-        return Atom(val, args)
+        kind, pred, at = self.toks[self.i]
+        if kind != "name":
+            raise self.expected("a predicate name", self.i)
+        a = self.term(Atom)
+        arity = self._arity.setdefault(pred, len(a.args))
+        if arity != len(a.args):
+            raise self.error(f"predicate {pred} used with arities {arity} and {len(a.args)}", at)
+        return a
 
-    def clause(self) -> Clause:
-        head = self.atom()
-        body = ()
-        if self.toks.peek()[:2] == ("neck", ":-"):
-            self.toks.next()
-            body = [self.atom()]
-            while self.toks.peek()[:2] == ("punct", ","):
-                self.toks.next()
-                body.append(self.atom())
-            body = tuple(body)
-        self.toks.expect("punct", ".")
-        return Clause(head, body)
+    def atoms(self) -> tuple:
+        """One or more atoms, separated by commas."""
+        atoms = [self.atom()]
+        while self.toks[self.i][1] == ",":
+            self.i += 1
+            atoms.append(self.atom())
+        return tuple(atoms)
 
     def program(self) -> Program:
         clauses = []
-        while self.toks.peek()[0] != "eof":
-            clauses.append(self.clause())
+        while self.toks[self.i][0] != "eof":
+            head, body = self.atom(), ()
+            if self.toks[self.i][1] == ":-":
+                self.i += 1
+                body = self.atoms()
+            if self.toks[self.i][1] != ".":
+                raise self.expected("'.'", self.i)
+            self.i += 1
+            clauses.append(Clause(head, body))
         return Program(tuple(clauses))
-
-    def query(self) -> Query:
-        atoms = [self.atom()]
-        while self.toks.peek()[:2] == ("punct", ","):
-            self.toks.next()
-            atoms.append(self.atom())
-        if self.toks.peek()[:2] == ("punct", "."):
-            self.toks.next()
-        if self.toks.peek()[0] != "eof":
-            self.toks.error("trailing input after query")
-        return Query(tuple(atoms))
-
-
-def _check_arities(p: Program, signature: Optional[Signature]):
-    pred_arity = {}
-    for c in p.clauses:
-        for a in (c.head, *c.body):
-            if a.pred in pred_arity and pred_arity[a.pred] != len(a.args):
-                raise ParseError(
-                    f"predicate {a.pred} used with arities "
-                    f"{pred_arity[a.pred]} and {len(a.args)}",
-                    0,
-                    0,
-                )
-            pred_arity[a.pred] = len(a.args)
-            if signature is not None:
-                for t in a.args:
-                    signature.check_term(t)
 
 
 def parse_term(text: str) -> Term:
     p = _Parser(text)
     t = p.term()
-    if p.toks.peek()[0] != "eof":
-        p.toks.error("trailing input after term")
+    p.end("term")
     return t
 
 
 def parse_query(text: str) -> Query:
-    return _Parser(text).query()
+    p = _Parser(text)
+    atoms = p.atoms()
+    if p.toks[p.i][1] == ".":
+        p.i += 1
+    p.end("query")
+    return Query(atoms)
 
 
 def parse_program(text: str, signature: Optional[Signature] = None) -> Program:
     prog = _Parser(text).program()
-    _check_arities(prog, signature)
+    if signature is not None:
+        for c in prog.clauses:
+            for a in (c.head, *c.body):
+                for t in a.args:
+                    signature.check_term(t)
     return prog

@@ -269,10 +269,42 @@ def test_query_deep_non_list_answer(capsys, tmp_path):
     assert out.startswith("d(3000," + "f(" * 3000 + "z")
 
 
-def test_query_resource_exhaustion_exit(capsys, len_file):
-    # the parser still recurses, so a query term nested 5000 deep exhausts
-    # the stack
-    deep = "s(" * 5000 + "0" + ")" * 5000
-    code, out, err = run(capsys, "query", len_file, f"len(L,{deep})")
+def test_query_resource_exhaustion_exit(capsys, tmp_path):
+    # the engine's head code recurses once per level of a clause head's
+    # non-ground term, so a head nested 3000 deep around a variable
+    # exhausts the stack
+    f = tmp_path / "h.pl"
+    f.write_text("h(" + "f(" * 3000 + "X" + ")" * 3000 + ").\n")
+    code, out, err = run(capsys, "query", str(f), "h(Y)")
     assert code == EXIT_RESOURCE
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _nest(functor, depth, leaf):
+    return f"{functor}(" * depth + leaf + ")" * depth
+
+
+_F3000 = _nest("f", 3000, "a")
+
+
+@pytest.mark.parametrize("source, query, signature, want", [
+    ("p(" + _nest("s", 3000, "0") + ").\n", "p(X)", None, ["p(3000)"]),
+    (f"p({_F3000}).\n", "p(X)", None, [f"p({_F3000})"]),
+    (f"p({_F3000}).\n", "p(X)", "a 0\nf 1\n", [f"p({_F3000})"]),
+    ("len([], 0).\nlen([_|T], s(N)) :- len(T, N).\n", "len(L," + _nest("s", 5000, "0") + ")",
+     None, ["len([" + ",".join(f"_G{i}" for i in range(1, 5001)) + "],5000)"]),
+    (f"p :- q({_F3000}).\nq(_).\n", "p", None, ["p"]),
+], ids=["fact-s", "fact-f", "fact-f-signature", "query-s", "body-f"])
+def test_deeply_nested_input_answers(capsys, tmp_path, source, query, signature, want):
+    # terms are parsed with an explicit stack, so nesting thousands of
+    # levels deep in a fact, a rule body or a query answers
+    f = tmp_path / "deep.pl"
+    f.write_text(source)
+    argv = ["query", str(f), query]
+    if signature is not None:
+        sig = tmp_path / "sig.txt"
+        sig.write_text(signature)
+        argv += ["--signature", str(sig)]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines() == want + ["1 answers"]

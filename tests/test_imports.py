@@ -77,6 +77,49 @@ def test_one_binding_store():
         assert "bindings" not in params, name
 
 
+def test_parser_calls_form_no_cycle():
+    # the parser reads terms with an explicit stack, so no function or
+    # method of it may reach itself again through calls. A call on self
+    # goes to its own class; a call on another receiver goes to every
+    # method of that name, which can add a cycle but never hide one; a
+    # call through super() leaves the module, whose classes subclass none
+    # of each other
+    tree = ast.parse((SRC / "parser.py").read_text())
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    owner = {node: node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    owner.update((f, f"{node.name}.{f.name}") for node in tree.body
+                 if isinstance(node, ast.ClassDef)
+                 for f in node.body if isinstance(f, ast.FunctionDef))
+    by_name = {}
+    for name in owner.values():
+        by_name.setdefault(name.rpartition(".")[2], set()).add(name)
+    calls = {}
+    for fn, name in owner.items():
+        out = calls[name] = set()
+        for call in ast.walk(fn):
+            f = call.func if isinstance(call, ast.Call) else None
+            if isinstance(f, ast.Name):
+                out.add(f"{f.id}.__init__" if f.id in classes else f.id)
+            elif isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) \
+                    and f.value.id == "self":
+                out.add(f"{name.rpartition('.')[0]}.{f.attr}")
+            elif isinstance(f, ast.Attribute) and not (
+                    isinstance(f.value, ast.Call) and getattr(f.value.func, "id", "") == "super"):
+                out |= by_name.get(f.attr, set())
+    assert "_Parser.term" in calls
+    cyclic = []
+    for start in calls:
+        seen, todo = set(), [start]
+        while todo:
+            for callee in calls.get(todo.pop(), ()):
+                if callee not in seen:
+                    seen.add(callee)
+                    todo.append(callee)
+        if start in seen:
+            cyclic.append(start)
+    assert cyclic == []
+
+
 #: Public names with no caller in the package, each kept for a reason.
 NO_SRC_CALLER = {
     "brute_force": "the tests' oracle for the engine's solutions",

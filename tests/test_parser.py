@@ -1,6 +1,7 @@
 """Concrete syntax: parsing, error reporting, print/parse round trips."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from queenscheck.parser import ParseError, parse_program, parse_query, parse_term
 from queenscheck.terms import (
@@ -9,6 +10,7 @@ from queenscheck.terms import (
     DEFAULT_SIGNATURE,
     NIL,
     Var,
+    ZERO,
     clause_template,
     cons,
     format_clause,
@@ -70,8 +72,16 @@ def test_parse_errors_have_location():
         parse_term("?")
     with pytest.raises(ParseError):
         parse_query("p(X) trailing")
-    with pytest.raises(ParseError):
-        parse_program("p(a). p(a,b).")  # predicate used at two arities
+    # a predicate used at two arities: the error is at the second one
+    with pytest.raises(ParseError, match="predicate p used with arities 1 and 2") as e:
+        parse_program("p(a). p(a,b).")
+    assert (e.value.line, e.value.col) == (1, 7)
+    with pytest.raises(ParseError, match="predicate p used with arities 1 and 2") as e:
+        parse_program("p(a).\nq(b).\np(a, b).")
+    assert (e.value.line, e.value.col) == (3, 1)
+    with pytest.raises(ParseError, match="predicate q used with arities 0 and 1") as e:
+        parse_query("p(X), q,\n  q(X)")
+    assert (e.value.line, e.value.col) == (2, 3)
 
 
 def test_signature_enforcement():
@@ -103,3 +113,70 @@ def test_numerals_share_their_predecessors():
     two, one = t.args[0], t.args[1].args[0]
     assert (two, one) == (numeral(2), numeral(1))
     assert two.args[0] is one
+
+
+def _chain(functor, n, leaf):
+    for _ in range(n):
+        leaf = Compound(functor, (leaf,))
+    return leaf
+
+
+DEEP = 10_000
+
+
+def _every_entry(text):
+    """The term `text` read by parse_term, and as an argument of a query,
+    a clause head and a clause body."""
+    (q,) = parse_query(f"p({text})").atoms
+    (c,) = parse_program(f"p({text}) :- q({text}).").clauses
+    return [parse_term(text), q.args[0], c.head.args[0], c.body[0].args[0]]
+
+
+@pytest.mark.parametrize("text, want", [
+    ("s(" * DEEP + "0" + ")" * DEEP, numeral(DEEP)),
+    ("f(" * DEEP + "a" + ")" * DEEP, _chain("f", DEEP, Compound("a"))),
+    ("[" + ",".join(["a", "X"] * (DEEP // 2)) + "|T]",
+     make_list([Compound("a"), Var("X")] * (DEEP // 2), Var("T"))),
+], ids=["s-chain", "f-chain", "open-list"])
+def test_deep_terms_parse(text, want):
+    assert _every_entry(text) == [want] * 4
+
+
+def test_long_list_of_consecutive_numerals_parses():
+    # each item must be s of the item before it, the same object, so the
+    # check is linear; comparing with separately built numerals would
+    # walk every numeral to 0
+    for t in _every_entry("[" + ",".join(map(str, range(DEEP))) + "]"):
+        items = []
+        while t != NIL:
+            assert t.functor == "cons"
+            item, t = t.args
+            if items:
+                assert item.functor == "s" and item.args[0] is items[-1]
+                assert len(item.args) == 1
+            else:
+                assert item == ZERO
+            items.append(item)
+        assert len(items) == DEEP
+
+
+_leaves = st.one_of(
+    st.sampled_from([Compound("a"), Compound("s"), Compound("cons"), NIL, ZERO]),
+    st.builds(numeral, st.integers(0, 12)),
+    st.sampled_from([Var("X"), Var("Y1"), Var("_G3"), Var("_t")]))
+_terms = st.recursive(_leaves, lambda sub: st.one_of(
+    st.builds(Compound, st.sampled_from(["f", "s", "cons", "nil", "g_1"]),
+              st.lists(sub, min_size=1, max_size=3).map(tuple)),
+    st.builds(make_list, st.lists(sub, max_size=4), st.one_of(st.just(NIL), sub))),
+    max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_terms, st.sampled_from([("f", 0), ("s", 1), ("f", 1), ("f", DEEP)]))
+def test_format_parse_roundtrip(t, chain):
+    # terms built without the parser: constants, numerals, proper and open
+    # lists, compounds and named variables, some under a chain DEEP long.
+    # The deep chain is f/1: format_term looks for a numeral below every s
+    # node, so a deep s/1 chain that is not a numeral prints in quadratic time
+    t = _chain(*chain, t)
+    assert parse_term(format_term(t)) == t
