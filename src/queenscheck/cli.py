@@ -80,7 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, engine: bool = True, signature: bool = True):
         if engine:
             p.add_argument("--rule", choices=sorted(SELECTION_RULES), default="leftmost")
-            p.add_argument("--occur-check", choices=("on", "off"), default="on")
+            p.add_argument("--occur-check", choices=("on", "off"), default="on",
+                           help="accepted for old scripts; the occur-check is always on")
         p.add_argument("--depth", type=_positive, default=None,
                        help="depth limit (solve/query) or base depth of the sampled "
                             "verify suites (recurrent, bound and rowshift ignore it)")
@@ -118,7 +119,6 @@ def _solve_opts(args) -> SolveOptions:
     return SolveOptions(
         selection_rule=args.rule,
         depth_limit=args.depth,
-        occur_check=args.occur_check == "on",
         answer_limit=getattr(args, "answer_limit", None),
     )
 

@@ -1,8 +1,8 @@
 """SLD resolution with chronological backtracking, on one explicit-stack machine.
 
 Answers come out in depth-first, clause-source order. The selection rule
-and the occur-check are switchable; a depth limit (resolution steps per
-derivation branch) turns silent truncation into an explicit stream marker.
+is switchable; a depth limit (resolution steps per derivation branch)
+turns silent truncation into an explicit stream marker.
 
 The machine (`_run`) keeps a stack of frames, one per resolvent on the
 current branch: its goals, the resolution steps that led to it, the
@@ -51,7 +51,6 @@ class SolveOptions:
     selection_rule: str = "leftmost"
     depth_limit: Optional[int] = None
     answer_limit: Optional[int] = None
-    occur_check: bool = True
 
     def __post_init__(self):
         if self.selection_rule not in SELECTION_RULES:
@@ -198,8 +197,7 @@ def _run(program: Program, query: Query, opts: SolveOptions
         cc = frame.clauses[frame.next]
         frame.next += 1
         slots = [None] * cc.head_vars
-        if not try_unify_atoms(frame.goal, cc.head, slots, trail, opts.occur_check,
-                               cc.first_occurrence):
+        if not try_unify_atoms(frame.goal, cc.head, slots, trail, cc.first_occurrence):
             continue
         if cc.body_vars:
             slots += [Cell() for _ in range(cc.body_vars)]

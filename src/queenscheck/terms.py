@@ -507,8 +507,14 @@ def format_term(t: Term) -> str:
             out.append(t)
         elif isinstance(t, Var):
             out.append(t.name)
-        elif (n := numeral_value(t)) is not None:
-            out.append(str(n))
+        elif t.functor == SUCC and len(t.args) == 1:
+            n = 0  # one walk down the s/1 spine: a numeral, or s(...) around its end
+            while t.__class__ is Compound and t.functor == SUCC and len(t.args) == 1:
+                n, t = n + 1, t.args[0]
+            if t == ZERO:
+                out.append(str(n))
+            else:
+                todo += (")" * n, t, "s(" * n)
         elif not t.args:
             out.append("[]" if t == NIL else t.functor)
         else:

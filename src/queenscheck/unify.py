@@ -1,5 +1,4 @@
-"""Most-general unification on mutable variable cells, with a switchable
-occur-check.
+"""Most-general unification on mutable variable cells, with the occur-check.
 
 A `Cell` holds its binding in one slot; binding it appends it to a trail,
 and `undo` empties the slots again. `unify` is the one unifier.
@@ -7,10 +6,6 @@ and `undo` empties the slots again. `unify` is the one unifier.
 clause's head template without building the renamed head, like the WAM's
 get and unify instructions (Warren 1983; Ait-Kaci 1991). `resolve`
 reads a term back off the cells.
-
-With occur_check=False the per-binding occurs scan is skipped, but a cyclic
-binding set is still rejected after the fact: this artifact never builds
-rational trees, so both modes agree on every solvable problem.
 """
 
 from .terms import Atom, Compound, Term
@@ -50,12 +45,9 @@ def occurs(v: Cell, t) -> bool:
     return False
 
 
-def unify(t1, t2, trail: list, occur_check: bool = True) -> bool:
+def unify(t1, t2, trail: list) -> bool:
     """Bind cells so that t1 and t2 become equal, appending each bound cell
     to trail; on failure, the caller undoes the partial work to its mark."""
-    # Without the check, earlier bindings may be cyclic; remembering the
-    # compound pairs already taken apart keeps the loop finite on them.
-    seen = None if occur_check else set()
     stack = [(t1, t2)]
     while stack:
         a, b = stack.pop()
@@ -66,67 +58,21 @@ def unify(t1, t2, trail: list, occur_check: bool = True) -> bool:
         if a is b:
             continue
         if a.__class__ is Cell:
-            if occur_check and occurs(a, b):
+            if occurs(a, b):
                 return False
             a.ref = b
             trail.append(a)
         elif b.__class__ is Cell:
-            if occur_check and occurs(b, a):
+            if occurs(b, a):
                 return False
             b.ref = a
             trail.append(b)
         elif a.functor != b.functor or len(a.args) != len(b.args):
             return False
         else:
-            if seen is not None:
-                pair = (id(a), id(b))
-                if pair in seen:
-                    continue
-                seen.add(pair)
             # push reversed so argument pairs are processed left to right
             stack.extend(zip(reversed(a.args), reversed(b.args)))
     return True
-
-
-def _bound_children(t) -> list:
-    """The bound cells occurring in t, not looking through bindings."""
-    out, todo = [], [t]
-    while todo:
-        u = todo.pop()
-        if u.__class__ is Cell:
-            if u.ref is not None:
-                out.append(u)
-        else:
-            todo.extend(u.args)
-    return out
-
-
-def cyclic(roots) -> bool:
-    """True if following bindings from any root cell revisits a cell.
-
-    One depth-first walk over the bound cells: a cell is on the path while
-    the bindings below it are explored and done afterwards, so each binding
-    is scanned at most once."""
-    on_path: dict = {}  # cell -> True while on the path, False once done
-    for root in roots:
-        if root.ref is None or root in on_path:
-            continue
-        on_path[root] = True
-        stack = [(root, iter(_bound_children(root.ref)))]
-        while stack:
-            c, children = stack[-1]
-            for u in children:
-                state = on_path.get(u)
-                if state:
-                    return True
-                if state is None:
-                    on_path[u] = True
-                    stack.append((u, iter(_bound_children(u.ref))))
-                    break
-            else:
-                stack.pop()
-                on_path[c] = False
-    return False
 
 
 def _build(tpl, slots: list):
@@ -140,24 +86,24 @@ def _build(tpl, slots: list):
     return Compound(tpl[0], tuple([_build(p, slots) for p in tpl[1]]))
 
 
-def _unify_head(tpl, g, slots: list, trail: list, occur_check: bool) -> bool:
+def _unify_head(tpl, g, slots: list, trail: list, certified: bool) -> bool:
     """Unify goal term g with tpl, a head template other than a slot's
     first occurrence, recursing over tpl only: a compound of tpl takes a
     goal compound apart (read mode) or is built on an unbound cell (write
-    mode)."""
+    mode). certified skips write mode's occurs scan (see try_unify_atoms)."""
     if tpl.__class__ is int:
-        return unify(g, slots[tpl], trail, occur_check)
+        return unify(g, slots[tpl], trail)
     while g.__class__ is Cell and g.ref is not None:
         g = g.ref
     if g.__class__ is Cell:
         t = _build(tpl, slots)  # a ground template needs no occurs scan
-        if occur_check and tpl.__class__ is tuple and occurs(g, t):
+        if not certified and tpl.__class__ is tuple and occurs(g, t):
             return False
         g.ref = t
         trail.append(g)
         return True
     if tpl.__class__ is not tuple:
-        return g is tpl or unify(g, tpl, trail, occur_check)
+        return g is tpl or unify(g, tpl, trail)
     if g.functor != tpl[0] or len(g.args) != len(tpl[1]):
         return False
     for p, u in zip(tpl[1], g.args):
@@ -169,13 +115,13 @@ def _unify_head(tpl, g, slots: list, trail: list, occur_check: bool) -> bool:
                 trail.append(u)
                 u = u.ref
             slots[p] = u
-        elif not _unify_head(p, u, slots, trail, occur_check):
+        elif not _unify_head(p, u, slots, trail, certified):
             return False
     return True
 
 
 def try_unify_atoms(goal: Atom, head: tuple, slots: list, trail: list,
-                    occur_check: bool, first_occurrence: tuple) -> bool:
+                    first_occurrence: tuple) -> bool:
     """Unify goal with the clause head whose atom template is head, filling
     slots (one None per head variable); undoes its bindings on failure.
 
@@ -183,17 +129,12 @@ def try_unify_atoms(goal: Atom, head: tuple, slots: list, trail: list,
     goal cell is bound to a new cell, so that the goal side gets bound, as
     against a renamed head. first_occurrence[i] certifies that the head's
     i-th argument is linear and new: by the NSTO lemma (Apt and Pellegrini
-    1994) it is unified with no occurs scan, and with the check off it
-    closes no cycle, so the cyclic rescan starts at the first argument
-    without the flag."""
+    1994) it is unified with no occurs scan."""
     pred, tpl = head
     if goal.pred != pred or len(goal.args) != len(tpl):
         return False
     mark = len(trail)
-    rescan = None  # trail position of the first argument without the flag
     for p, g, certified in zip(tpl, goal.args, first_occurrence):
-        if rescan is None and not certified:
-            rescan = len(trail)
         if p.__class__ is int and slots[p] is None:
             while g.__class__ is Cell and g.ref is not None:
                 g = g.ref
@@ -202,20 +143,17 @@ def try_unify_atoms(goal: Atom, head: tuple, slots: list, trail: list,
                 trail.append(g)
                 g = g.ref
             slots[p] = g
-        elif not _unify_head(p, g, slots, trail, occur_check and not certified):
-            break
-    else:
-        if occur_check or rescan is None or not cyclic(trail[rescan:]):
-            return True
-    undo(trail, mark)
-    return False
+        elif not _unify_head(p, g, slots, trail, certified):
+            undo(trail, mark)
+            return False
+    return True
 
 
 def resolve(t, names: dict, fresh=None) -> Term:
     """t with each cell replaced by names[cell], or else by fresh() if it is
     unbound (in order of first occurrence) and by its resolved binding if
     not; each cell's term is stored in names, so a shared binding is
-    resolved once. Bindings must be acyclic; iterative."""
+    resolved once; iterative."""
     done: list = []  # finished subterms, left to right
     todo = [t]  # subterms to visit, (functor, arity) to build from done,
     # and [cell] to store the last finished subterm as the cell's term

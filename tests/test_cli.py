@@ -13,6 +13,7 @@ import queenscheck
 from queenscheck.cli import EXIT_CAPPED, EXIT_FAIL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 from queenscheck.parser import parse_term
 from queenscheck.queens import NQUEENS_SOURCE
+from test_engine import OCCURS_FAILURES
 
 
 @pytest.fixture
@@ -140,6 +141,20 @@ def test_verify_rowshift_capped_budget(capsys):
 def test_subcommand_rejects_options_it_does_not_read(capsys, argv):
     code, _, _ = run(capsys, *argv)
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    *(("query", source, query) for source, query in OCCURS_FAILURES),
+    *(("solve", "6", "--rule", rule) for rule in ("leftmost", "rightmost", "fair")),
+], ids=" ".join)
+def test_occur_check_off_prints_as_on(capsys, tmp_path, argv):
+    # --occur-check is still accepted, and both values run the one unifier
+    if argv[0] == "query":
+        program = tmp_path / "p.pl"
+        program.write_text(argv[1])
+        argv = ("query", str(program), argv[2])
+    on, off = (run(capsys, *argv, "--occur-check", value)[:2] for value in ("on", "off"))
+    assert on == off
 
 
 @pytest.mark.parametrize("mutant", ["drop-ds-wrapper", "nonuniform-strip"])

@@ -121,7 +121,7 @@ def test_answers_reparse():
 
 # --- the occur-check path -------------------------------------------------------
 
-@pytest.mark.parametrize("source, query", [
+OCCURS_FAILURES = [
     ("eq(X, X).", "eq(Y, f(Y))"),
     # a cycle across arguments
     ("p(X, f(X)).", "p(Y, Y)"),
@@ -129,20 +129,18 @@ def test_answers_reparse():
     ("p(f(X), X).", "p(Y, Y)"),
     # a repeat inside one argument
     ("p(g(X, X)).", "p(g(Y, f(Y)))"),
-    # cyclic after the second argument; unifying the last two must still end
+    # cycles across several argument pairs
     ("p(A, f(A), B, f(B), C, C).", "p(X, X, Y, Y, X, Y)"),
-])
-@pytest.mark.parametrize("occur_check", [True, False])
-def test_occurs_failures_give_no_answer(source, query, occur_check):
-    answers = solve_answers(parse_program(source), parse_query(query),
-                            SolveOptions(occur_check=occur_check))
-    assert answers == []
+]
 
 
-@pytest.mark.parametrize("occur_check", [True, False])
-def test_linear_head_against_nonlinear_goal(occur_check):
-    answers = solve_answers(parse_program("r(A, B)."), parse_query("r(Y, f(Y))"),
-                            SolveOptions(occur_check=occur_check))
+@pytest.mark.parametrize("source, query", OCCURS_FAILURES)
+def test_occurs_failures_give_no_answer(source, query):
+    assert solve_answers(parse_program(source), parse_query(query)) == []
+
+
+def test_linear_head_against_nonlinear_goal():
+    answers = solve_answers(parse_program("r(A, B)."), parse_query("r(Y, f(Y))"))
     assert [format_query(a.instantiated_query) for a in answers] == ["r(_G1,f(_G1))"]
 
 
@@ -169,20 +167,17 @@ def _head_and_goal(draw):
 @given(_head_and_goal())
 def test_one_clause_program_agrees_with_unify_atoms(case):
     # the reference unifier keeps the full occurs scan, so it is the
-    # reference for the engine's pre-check, first-occurrence flags and
-    # cyclic rescan; its instance of the goal is the reference for the
-    # engine's head code
+    # reference for the engine's pre-check and first-occurrence flags; its
+    # instance of the goal is the reference for the engine's head code
     head, goal = case
     goal_term = Compound(goal.pred, goal.args)
     theta = mgu(goal_term, Compound(head.pred, head.args))
-    program = Program((Clause(head),))
-    for occur_check in (True, False):
-        answers = solve_answers(program, Query((goal,)), SolveOptions(occur_check=occur_check))
-        assert len(answers) == (0 if theta is None else 1)
-        if answers:
-            got = answers[0].instantiated_query.atoms[0]
-            assert _canonical(Compound(got.pred, got.args)) == _canonical(
-                apply_subst(theta, goal_term))
+    answers = solve_answers(Program((Clause(head),)), Query((goal,)))
+    assert len(answers) == (0 if theta is None else 1)
+    if answers:
+        got = answers[0].instantiated_query.atoms[0]
+        assert _canonical(Compound(got.pred, got.args)) == _canonical(
+            apply_subst(theta, goal_term))
 
 
 def _canonical(t):
@@ -194,7 +189,7 @@ def _canonical(t):
 # --- golden streams -------------------------------------------------------------
 
 # Ordered answers of the size-5 initial query, recorded from the recursive
-# engine this machine replaced; both occur-check modes give the same stream.
+# engine this machine replaced.
 GOLDEN_5 = {
     "leftmost": [
         "pqs(5,[1,4,2,5,3],[4,_G1,3,5|_G2],[_G3,_G4,_G5,4,5,1,2,3|_G6])",
@@ -236,10 +231,9 @@ GOLDEN_5 = {
 
 
 @pytest.mark.parametrize("rule", sorted(GOLDEN_5))
-@pytest.mark.parametrize("occur_check", [True, False])
-def test_answer_stream_order(rule, occur_check):
+def test_answer_stream_order(rule):
     answers = solve_answers(nqueens_program(), initial_query(5),
-                            SolveOptions(selection_rule=rule, occur_check=occur_check))
+                            SolveOptions(selection_rule=rule))
     assert [format_query(a.instantiated_query) for a in answers] == GOLDEN_5[rule]
 
 

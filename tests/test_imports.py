@@ -67,14 +67,15 @@ def test_only_specs_and_queens_name_the_program_predicates():
 
 
 def test_one_binding_store():
-    # the engine and the unifier bind variables in place, in cells; no
-    # function takes a separate store of bindings
+    # the engine and the unifier bind variables in place, in cells, and
+    # always run the occurs scan: no function takes a separate store of
+    # bindings, or a switch for the occur-check
     for name in ("unify.py", "engine.py"):
         params = [arg.arg for node in ast.walk(ast.parse((SRC / name).read_text()))
                   if isinstance(node, (ast.FunctionDef, ast.Lambda))
                   for arg in (*node.args.posonlyargs, *node.args.args,
                               *node.args.kwonlyargs)]
-        assert "bindings" not in params, name
+        assert not {"bindings", "occur_check"} & set(params), name
 
 
 def test_parser_calls_form_no_cycle():

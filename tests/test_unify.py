@@ -1,4 +1,4 @@
-"""Unification: soundness, idempotence, occur-check modes, matching."""
+"""Unification: soundness, idempotence, the occur-check, matching."""
 
 from hypothesis import given, strategies as st
 
@@ -17,7 +17,6 @@ from queenscheck.terms import (
     numeral,
     term_vars,
 )
-from queenscheck.unify import Cell, cyclic
 from unify_oracle import mgu
 
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
@@ -34,9 +33,7 @@ def test_mgu_identity_and_trivia():
 def test_mgu_occur_check_modes():
     s_x = Compound("s", (X,))
     assert mgu(X, s_x) is None
-    # without the scan the cyclic binding set is still rejected afterwards
-    assert mgu(X, s_x, occur_check=False) is None
-    assert mgu(cons(X, Y), cons(Y, X), occur_check=False) is not None
+    assert mgu(cons(X, Y), cons(Y, X)) is not None
 
 
 def test_mgu_resolution_step_shape():
@@ -96,21 +93,11 @@ def test_mgu_symmetric(t1, t2):
         assert apply_subst(s21, apply_subst(s12, t1)) == apply_subst(s21, apply_subst(s12, t2))
 
 
-@given(_terms, _terms)
-def test_occur_check_modes_agree(t1, t2):
-    # this artifact never builds cyclic terms, so the modes coincide
-    with_check = mgu(t1, t2)
-    without = mgu(t1, t2, occur_check=False)
-    assert (with_check is None) == (without is None)
-
-
 def test_occur_check_off_ends_on_cyclic_bindings():
-    # the second argument binds B to f(...B...); unifying the third then
-    # walks two cyclic terms, which must end (and be rejected) in both modes
+    # binding B to f(...B...) in the second argument fails the occurs scan
     t1 = parse_term("p(g(C,B),B,B)")
     t2 = parse_term("p(Z,f(g(g(Z,Z),f(Z))),f(Z))")
     assert mgu(t1, t2) is None
-    assert mgu(t1, t2, occur_check=False) is None
 
 
 def _match(pattern, fact, subst=None):
@@ -141,21 +128,3 @@ def test_match_atom():
     fact = Atom("pq", (a, make_list([a, NIL])))
     assert _match(pat, fact) == {X: a, Y: make_list([NIL])}
     assert _match(pat, Atom("pqs", (a, a))) is None
-
-
-def test_bindings_cyclic_long_chain():
-    # C0 -> f(C1) -> ... -> f(C4999): each binding is scanned once, with no
-    # recursion, whichever cells the walk starts from
-    cs = [Cell() for _ in range(5000)]
-    for c, d in zip(cs, cs[1:]):
-        c.ref = Compound("f", (d,))
-    assert not cyclic(cs[:1])
-    assert not cyclic(cs)
-    cs[-1].ref = Compound("g", (a, cs[0]))
-    assert cyclic(cs[:1])
-    assert cyclic(cs[2500:])
-    # a cell reached along two paths is shared, not cyclic
-    x, y, z, w = Cell(), Cell(), Cell(), Cell()
-    x.ref, y.ref, z.ref, w.ref = (Compound("g", (y, z)), Compound("f", (w,)),
-                                  Compound("f", (w,)), a)
-    assert not cyclic([x, y, z, w])
