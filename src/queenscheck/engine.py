@@ -14,14 +14,19 @@ answer's terms are iterative too, so neither a long derivation nor a deep
 answer term deepens the Python stack. `solve` streams the machine's answers.
 
 Goals are atoms on `unify.Cell`s, bound in place and undone from the
-trail; they become terms only when an answer is produced. Each
-predicate's clauses are compiled once per call: head and body templates
-and, per head argument, its principal functor and a first-occurrence
-flag (see `unify.try_unify_atoms`). A clause whose head argument has a
-principal functor other than the goal argument's is skipped before its
-head code runs; the body atoms are built from the slots that head code
-fills, with a new cell for each variable that occurs only in the body, by
-atom builders (`terms.atom_builder`) generated once per `solve` call.
+trail; they become terms only when an answer is produced. Each `solve`
+call indexes each predicate's clauses on the principal functor of their
+first head argument (Warren's `switch_on_term`): a goal whose first
+argument is bound looks up the clauses with that functor or a variable
+there, in source order, and a goal whose first argument is unbound takes
+them all. A clause is compiled the first time it is such a candidate in
+the call, so clauses that the query never reaches are never compiled: to
+head and body templates and, per head argument, its principal functor and
+a first-occurrence flag (see `unify.try_unify_atoms`). A candidate whose
+head argument has a principal functor other than the goal argument's is
+skipped before its head code runs; the body atoms are built from the
+slots that head code fills, with a new cell for each variable that occurs
+only in the body, by atom builders (`terms.atom_builder`).
 """
 
 from dataclasses import dataclass
@@ -44,6 +49,7 @@ from .terms import (
 from .unify import Cell, deref, resolve_atom, try_unify_atoms, undo
 
 SELECTION_RULES = ("leftmost", "rightmost", "fair")
+_NO_CLAUSES = ((), (), {})  # the _index entry of a predicate with no clauses
 
 
 @dataclass(frozen=True)
@@ -115,7 +121,10 @@ def _compile(c: Clause) -> _Compiled:
     seen: set = set()
     first = []
     for t in head[1]:
-        occ = [leaf for leaf, _ in slot_walk((t,)) if leaf.__class__ is int]
+        if t.__class__ is tuple:
+            occ = [leaf for leaf, _ in slot_walk((t,)) if leaf.__class__ is int]
+        else:  # a bare slot, or a ground term
+            occ = [t] if t.__class__ is int else []
         first.append(len(set(occ)) == len(occ) and seen.isdisjoint(occ))
         seen.update(occ)
     return _Compiled(
@@ -129,13 +138,45 @@ def _compile(c: Clause) -> _Compiled:
     )
 
 
-def _candidates(clauses, goal: Atom) -> list:
-    """The clauses whose head may unify with goal: each compound head
-    argument meets a goal argument that dereferences to an unbound cell or
-    to a compound with the same principal functor."""
+def _index(program: Program) -> dict:
+    """pred -> (clauses, var_first, by_key). clauses are pred's clauses in
+    source order, each kept as it is until _candidates compiles it in
+    place; var_first holds the positions of those whose first head argument
+    is a variable, and by_key, per principal functor of a first head
+    argument, the positions of those with that functor or a variable
+    there, in source order."""
+    index: dict = {}
+    for c in program.clauses:
+        clauses, var_first, by_key = index.setdefault(c.head.pred, ([], [], {}))
+        key = _principal(c.head.args[0]) if c.head.args else None
+        if key is None:
+            var_first.append(len(clauses))
+            for bucket in by_key.values():
+                bucket.append(len(clauses))
+        elif key in by_key:
+            by_key[key].append(len(clauses))
+        else:
+            by_key[key] = var_first + [len(clauses)]
+        clauses.append(c)
+    return index
+
+
+def _candidates(entry, goal: Atom) -> list:
+    """The compiled clauses of entry, an _index value, whose head may unify
+    with goal: each compound head argument meets a goal argument that
+    dereferences to an unbound cell or to a compound with the same
+    principal functor."""
+    clauses, var_first, by_key = entry
     keys = [_principal(deref(t)) for t in goal.args]
+    if keys and keys[0] is not None:
+        positions = by_key.get(keys[0], var_first)
+    else:
+        positions = range(len(clauses))
     out = []
-    for c in clauses:
+    for k in positions:
+        c = clauses[k]
+        if c.__class__ is Clause:
+            c = clauses[k] = _compile(c)
         for i, key in c.checks:
             if keys[i] is not None and keys[i] != key:
                 break
@@ -163,9 +204,7 @@ def _run(program: Program, query: Query, opts: SolveOptions
          ) -> Iterator[Union[Answer, SearchTruncated]]:
     """Answers of every successful branch, then SearchTruncated if the depth
     limit cut any branch."""
-    compiled: dict = {}
-    for c in program.clauses:
-        compiled.setdefault(c.head.pred, []).append(_compile(c))
+    index = _index(program)
     qvars = term_vars([t for a in query.atoms for t in a.args])
     qcells = [Cell() for _ in qvars]
     on_cells = dict(zip(qvars, qcells))
@@ -183,7 +222,7 @@ def _run(program: Program, query: Query, opts: SolveOptions
                 cut += 1
             else:
                 idx = _select(opts.selection_rule, len(goals), steps)
-                cands = _candidates(compiled.get(goals[idx].pred, ()), goals[idx])
+                cands = _candidates(index.get(goals[idx].pred, _NO_CLAUSES), goals[idx])
                 stack.append(_Frame(goals, steps, idx, cands, len(trail)))
             goals = None
         if not stack:

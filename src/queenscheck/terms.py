@@ -13,9 +13,9 @@ A clause compiles to slot templates (`clause_template`), and the instances
 of an atom template are built by its `atom_builder`: a function generated
 as Python source, in the manner of Warren's compiled clauses, so that
 building an instance runs no interpreter over the template. Callers make
-the builders once per clause: the checkers once per check, the engine once
-per `solve` call. The source names no constant, so the code of one
-template shape is compiled once and shared.
+the builders once per clause: the checkers once per check, the engine when
+the clause is first a candidate in a `solve` call. The source names no
+constant, so the code of one template shape is compiled once and shared.
 """
 
 from dataclasses import dataclass, field

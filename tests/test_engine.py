@@ -1,15 +1,20 @@
 """Resolution engine: answers, selection rules, depth limits."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from queenscheck import engine
 from queenscheck.engine import (
+    SELECTION_RULES,
     Answer,
     SearchTruncated,
     SolveOptions,
     solve,
     solve_answers,
 )
+from queenscheck.herbrand import tp_fixpoint
 from queenscheck.parser import parse_program, parse_query, parse_term
 from queenscheck.queens import initial_query, nqueens_program
 from queenscheck.terms import (
@@ -18,6 +23,7 @@ from queenscheck.terms import (
     Compound,
     Program,
     Query,
+    Signature,
     Var,
     apply_subst,
     clause_template,
@@ -261,3 +267,131 @@ def test_long_derivation_does_not_recurse():
     p = parse_program("len([], 0). len([_|T], s(N)) :- len(T, N).")
     (ans,) = solve_answers(p, parse_query("len(L, 330)"))
     assert format_query(ans.instantiated_query).count(",") == 330
+
+
+# --- first-argument index -------------------------------------------------------
+
+INDEXED = parse_program("p(a,1). p(X,2). p(b,3). p(a,4). p(f(Y),5). p(Z,6)."
+                        " q(f(c)). q(a). q(b).")
+
+# q(W) resolved first: p's first argument is bound mid-derivation
+_Q_FIRST = ["q(f(c)), p(f(c),2)", "q(f(c)), p(f(c),5)", "q(f(c)), p(f(c),6)",
+            "q(a), p(a,1)", "q(a), p(a,2)", "q(a), p(a,4)", "q(a), p(a,6)",
+            "q(b), p(b,2)", "q(b), p(b,3)", "q(b), p(b,6)"]
+# p(W,N) resolved first, unbound: every clause of p, in source order
+_P_FIRST = ["p(a,1), q(a)", "p(f(c),2), q(f(c))", "p(a,2), q(a)", "p(b,2), q(b)",
+            "p(b,3), q(b)", "p(a,4), q(a)", "p(f(c),5), q(f(c))",
+            "p(f(c),6), q(f(c))", "p(a,6), q(a)", "p(b,6), q(b)"]
+
+
+def _swap(answers):
+    return [", ".join(reversed(a.split(", "))) for a in answers]
+
+
+@pytest.mark.parametrize("rule", SELECTION_RULES)
+@pytest.mark.parametrize("query, expected", [
+    ("p(a,N)", {r: ["p(a,1)", "p(a,2)", "p(a,4)", "p(a,6)"] for r in SELECTION_RULES}),
+    ("p(c,N)", {r: ["p(c,2)", "p(c,6)"] for r in SELECTION_RULES}),
+    ("p(f(c),N)", {r: ["p(f(c),2)", "p(f(c),5)", "p(f(c),6)"] for r in SELECTION_RULES}),
+    ("p(W,N)", {r: ["p(a,1)", "p(_G1,2)", "p(b,3)", "p(a,4)", "p(f(_G1),5)", "p(_G1,6)"]
+                for r in SELECTION_RULES}),
+    ("q(W), p(W,N)", {"leftmost": _Q_FIRST, "fair": _Q_FIRST, "rightmost": _swap(_P_FIRST)}),
+    ("p(W,N), q(W)", {"leftmost": _P_FIRST, "fair": _P_FIRST, "rightmost": _swap(_Q_FIRST)}),
+], ids=["bound", "missing-key", "compound-key", "unbound", "q-then-p", "p-then-q"])
+def test_index_keeps_clause_source_order(query, expected, rule):
+    # a bound first argument takes its functor's clauses and the
+    # variable-first ones, interleaved in source order; a missing key takes
+    # the variable-first ones only
+    answers = solve_answers(INDEXED, parse_query(query), SolveOptions(selection_rule=rule))
+    assert [format_query(a.instantiated_query) for a in answers] == expected[rule]
+
+
+TREE = parse_program("anc(X, Y) :- par(X, Y). anc(X, Z) :- par(X, Y), anc(Y, Z)."
+                     " par(r, a). par(r, b). par(a, c). par(a, d). par(b, e).")
+
+
+@pytest.fixture
+def compiled(monkeypatch):
+    """The clauses engine._compile is called on, in call order."""
+    calls = []
+    real = engine._compile
+
+    def counting(c):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(engine, "_compile", counting)
+    return calls
+
+
+def test_leaf_bound_query_compiles_only_the_rules(compiled):
+    answers = solve_answers(TREE, parse_query("anc(e, Z)"))
+    assert answers == [] and compiled == list(TREE.clauses[:2])
+
+
+def test_unbound_query_compiles_each_clause_once_per_call(compiled):
+    for calls in (1, 2):
+        assert len(solve_answers(TREE, parse_query("anc(X, Z)"))) == 8
+        assert sorted(map(TREE.clauses.index, compiled)) == sorted(
+            list(range(len(TREE.clauses))) * calls)
+
+
+# --- the engine against the least Herbrand model --------------------------------
+
+AB = (Compound("a"), Compound("b"))
+ARITIES = {"p": 2, "q": 1, "r": 2}
+_SIGNATURE = Signature(frozenset({("a", 0), ("b", 0)}))
+_DEPTH_LIMIT = 6
+# each predicate called with each constant first: the index's lookups
+_BOUND_FIRST = [Query((Atom(p, (c,) + tuple(Var(f"V{i}") for i in range(1, n))),))
+                for p, n in sorted(ARITIES.items()) for c in AB]
+
+
+@st.composite
+def _atom(draw, pred=None):
+    pred = pred or draw(st.sampled_from(sorted(ARITIES)))
+    # the first argument is a, b or a variable, so that goals meet both the
+    # index buckets and the variable-first clauses
+    first = draw(st.sampled_from(AB + (Var("X"),)))
+    rest = st.sampled_from(AB + (Var("X"), Var("Y")))
+    return Atom(pred, (first,) + tuple(draw(rest) for _ in range(ARITIES[pred] - 1)))
+
+
+@st.composite
+def _program_and_query(draw):
+    clauses = [Clause(draw(_atom(pred)), tuple(draw(st.lists(_atom(), max_size=2))))
+               for pred in sorted(ARITIES) for _ in range(draw(st.integers(1, 4)))]
+    order = draw(st.permutations(range(len(clauses))))
+    query = Query(tuple(draw(st.lists(_atom(), min_size=1, max_size=2))))
+    return Program(tuple(clauses[k] for k in order)), query
+
+
+def _ground_instances(atoms) -> set:
+    vs = term_vars([t for a in atoms for t in a.args])
+    return {tuple(Atom(a.pred, tuple(apply_subst(dict(zip(vs, ts)), t) for t in a.args))
+                  for a in atoms)
+            for ts in product(AB, repeat=len(vs))}
+
+
+@settings(max_examples=500, deadline=None)
+@given(_program_and_query())
+def test_engine_agrees_with_least_model(case):
+    # function-free, so the fixpoint over the constants is the least
+    # Herbrand model: answers are sound, a stream that ends untruncated is
+    # complete, and the selection rules agree up to variants
+    program, drawn = case
+    model = tp_fixpoint(program, _SIGNATURE, 0, pool=AB)
+    for query in [drawn, *_BOUND_FIRST]:
+        correct = {g for g in _ground_instances(query.atoms) if model.issuperset(g)}
+        variants = {}
+        for rule in SELECTION_RULES:
+            items = list(solve(program, query,
+                               SolveOptions(selection_rule=rule, depth_limit=_DEPTH_LIMIT)))
+            answers = [i.instantiated_query.atoms for i in items if isinstance(i, Answer)]
+            got = set().union(*map(_ground_instances, answers))
+            assert got <= correct
+            if not any(isinstance(i, SearchTruncated) for i in items):
+                assert got == correct
+                variants[rule] = {format_query(Query(a)) for a in answers}
+        if len(variants) == len(SELECTION_RULES):
+            assert variants["leftmost"] == variants["rightmost"] == variants["fair"]
