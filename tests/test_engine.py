@@ -290,20 +290,20 @@ def _swap(answers):
 
 @pytest.mark.parametrize("rule", SELECTION_RULES)
 @pytest.mark.parametrize("query, expected", [
-    ("p(a,N)", {r: ["p(a,1)", "p(a,2)", "p(a,4)", "p(a,6)"] for r in SELECTION_RULES}),
-    ("p(c,N)", {r: ["p(c,2)", "p(c,6)"] for r in SELECTION_RULES}),
-    ("p(f(c),N)", {r: ["p(f(c),2)", "p(f(c),5)", "p(f(c),6)"] for r in SELECTION_RULES}),
-    ("p(W,N)", {r: ["p(a,1)", "p(_G1,2)", "p(b,3)", "p(a,4)", "p(f(_G1),5)", "p(_G1,6)"]
-                for r in SELECTION_RULES}),
+    ("p(a,N)", ["p(a,1)", "p(a,2)", "p(a,4)", "p(a,6)"]),
+    ("p(c,N)", ["p(c,2)", "p(c,6)"]),
+    ("p(f(c),N)", ["p(f(c),2)", "p(f(c),5)", "p(f(c),6)"]),
+    ("p(W,N)", ["p(a,1)", "p(_G1,2)", "p(b,3)", "p(a,4)", "p(f(_G1),5)", "p(_G1,6)"]),
     ("q(W), p(W,N)", {"leftmost": _Q_FIRST, "fair": _Q_FIRST, "rightmost": _swap(_P_FIRST)}),
     ("p(W,N), q(W)", {"leftmost": _P_FIRST, "fair": _P_FIRST, "rightmost": _swap(_Q_FIRST)}),
 ], ids=["bound", "missing-key", "compound-key", "unbound", "q-then-p", "p-then-q"])
 def test_index_keeps_clause_source_order(query, expected, rule):
     # a bound first argument takes its functor's clauses and the
     # variable-first ones, interleaved in source order; a missing key takes
-    # the variable-first ones only
+    # the variable-first ones only. A list is the stream under every rule.
     answers = solve_answers(INDEXED, parse_query(query), SolveOptions(selection_rule=rule))
-    assert [format_query(a.instantiated_query) for a in answers] == expected[rule]
+    want = expected[rule] if isinstance(expected, dict) else expected
+    assert [format_query(a.instantiated_query) for a in answers] == want
 
 
 TREE = parse_program("anc(X, Y) :- par(X, Y). anc(X, Z) :- par(X, Y), anc(Y, Z)."
