@@ -15,18 +15,16 @@ answer term deepens the Python stack. `solve` streams the machine's answers.
 
 Goals are atoms on `unify.Cell`s, bound in place and undone from the
 trail; they become terms only when an answer is produced. Each `solve`
-call indexes each predicate's clauses on the principal functor of their
-first head argument (Warren's `switch_on_term`): a goal whose first
-argument is bound looks up the clauses with that functor or a variable
-there, in source order, and a goal whose first argument is unbound takes
-them all. A clause is compiled the first time it is such a candidate in
-the call, so clauses that the query never reaches are never compiled: to
-head and body templates and, per head argument, its principal functor and
-a first-occurrence flag (see `unify.try_unify_atoms`). A candidate whose
-head argument has a principal functor other than the goal argument's is
-skipped before its head code runs; the body atoms are built from the
-slots that head code fills, with a new cell for each variable that occurs
-only in the body, by atom builders (`terms.atom_builder`).
+call indexes the clauses of each predicate and arity on the principal
+functor of their first head argument (Warren's `switch_on_term`): a goal
+whose first argument is bound looks up the clauses with that functor or a
+variable there, in source order, and a goal whose first argument is
+unbound takes them all. A clause is compiled the first time it is such a
+candidate in the call, so clauses that the query never reaches are never
+compiled: its head to head code (`terms.head_code`), which tests each
+functor and fills the slots, and each body atom to an atom builder
+(`terms.atom_builder`), which builds the atom from those slots, with a new
+cell for each variable that occurs only in the body.
 """
 
 from dataclasses import dataclass
@@ -43,10 +41,10 @@ from .terms import (
     apply_subst,
     atom_builder,
     clause_template,
-    slot_walk,
+    head_code,
     term_vars,
 )
-from .unify import Cell, deref, resolve_atom, try_unify_atoms, undo
+from .unify import Cell, deref, occurs, resolve_atom, try_unify_atoms, undo, unify
 
 SELECTION_RULES = ("leftmost", "rightmost", "fair")
 _NO_CLAUSES = ((), (), {})  # the _index entry of a predicate with no clauses
@@ -105,10 +103,8 @@ def _answer(qvars, qcells, atoms) -> Answer:
 class _Compiled:
     head_vars: int  # number of variables in the head; they come first
     body_vars: int  # number of variables that occur in the body only
-    head: tuple  # atom template of the head (see terms.clause_template)
+    head: object  # head code of the head template (see terms.head_code)
     body: tuple  # atom builder per body atom (see terms.atom_builder)
-    checks: tuple  # (argument index, principal functor) of each compound head argument
-    first_occurrence: tuple  # per head argument: linear, and all its variables new
 
 
 def _principal(t):
@@ -118,36 +114,22 @@ def _principal(t):
 
 def _compile(c: Clause) -> _Compiled:
     vs, head, body = clause_template(c)
-    seen: set = set()
-    first = []
-    for t in head[1]:
-        if t.__class__ is tuple:
-            occ = [leaf for leaf, _ in slot_walk((t,)) if leaf.__class__ is int]
-        else:  # a bare slot, or a ground term
-            occ = [t] if t.__class__ is int else []
-        first.append(len(set(occ)) == len(occ) and seen.isdisjoint(occ))
-        seen.update(occ)
-    return _Compiled(
-        head_vars=len(seen),
-        body_vars=len(vs) - len(seen),
-        head=head,
-        body=tuple(map(atom_builder, body)),
-        checks=tuple((i, _principal(t)) for i, t in enumerate(c.head.args)
-                     if t.__class__ is Compound),
-        first_occurrence=tuple(first),
-    )
+    n = len(term_vars(c.head.args))
+    return _Compiled(n, len(vs) - n, head_code(head, Cell, unify, occurs),
+                     tuple(map(atom_builder, body)))
 
 
 def _index(program: Program) -> dict:
-    """pred -> (clauses, var_first, by_key). clauses are pred's clauses in
-    source order, each kept as it is until _candidates compiles it in
-    place; var_first holds the positions of those whose first head argument
-    is a variable, and by_key, per principal functor of a first head
-    argument, the positions of those with that functor or a variable
-    there, in source order."""
+    """(pred, arity) -> (clauses, var_first, by_key). clauses are the
+    clauses with that head in source order, each kept as it is until
+    _candidates compiles it in place; var_first holds the positions of
+    those whose first head argument is a variable, and by_key, per
+    principal functor of a first head argument, the positions of those
+    with that functor or a variable there, in source order."""
     index: dict = {}
     for c in program.clauses:
-        clauses, var_first, by_key = index.setdefault(c.head.pred, ([], [], {}))
+        clauses, var_first, by_key = index.setdefault(
+            (c.head.pred, len(c.head.args)), ([], [], {}))
         key = _principal(c.head.args[0]) if c.head.args else None
         if key is None:
             var_first.append(len(clauses))
@@ -161,28 +143,18 @@ def _index(program: Program) -> dict:
     return index
 
 
-def _candidates(entry, goal: Atom) -> list:
-    """The compiled clauses of entry, an _index value, whose head may unify
-    with goal: each compound head argument meets a goal argument that
-    dereferences to an unbound cell or to a compound with the same
-    principal functor."""
-    clauses, var_first, by_key = entry
-    keys = [_principal(deref(t)) for t in goal.args]
-    if keys and keys[0] is not None:
-        positions = by_key.get(keys[0], var_first)
-    else:
-        positions = range(len(clauses))
-    out = []
+def _candidates(index: dict, goal: Atom) -> list:
+    """The compiled clauses of goal's predicate and arity in index (an
+    _index), whose first head argument is a variable or, unless goal's
+    first argument dereferences to an unbound cell, has its principal
+    functor."""
+    clauses, var_first, by_key = index.get((goal.pred, len(goal.args)), _NO_CLAUSES)
+    key = _principal(deref(goal.args[0])) if goal.args else None
+    positions = range(len(clauses)) if key is None else by_key.get(key, var_first)
     for k in positions:
-        c = clauses[k]
-        if c.__class__ is Clause:
-            c = clauses[k] = _compile(c)
-        for i, key in c.checks:
-            if keys[i] is not None and keys[i] != key:
-                break
-        else:
-            out.append(c)
-    return out
+        if clauses[k].__class__ is Clause:
+            clauses[k] = _compile(clauses[k])
+    return [clauses[k] for k in positions]
 
 
 # --- the machine --------------------------------------------------------------
@@ -222,7 +194,7 @@ def _run(program: Program, query: Query, opts: SolveOptions
                 cut += 1
             else:
                 idx = _select(opts.selection_rule, len(goals), steps)
-                cands = _candidates(index.get(goals[idx].pred, _NO_CLAUSES), goals[idx])
+                cands = _candidates(index, goals[idx])
                 stack.append(_Frame(goals, steps, idx, cands, len(trail)))
             goals = None
         if not stack:
@@ -236,7 +208,7 @@ def _run(program: Program, query: Query, opts: SolveOptions
         cc = frame.clauses[frame.next]
         frame.next += 1
         slots = [None] * cc.head_vars
-        if not try_unify_atoms(frame.goal, cc.head, slots, trail, cc.first_occurrence):
+        if not try_unify_atoms(frame.goal, cc.head, slots, trail):
             continue
         if cc.body_vars:
             slots += [Cell() for _ in range(cc.body_vars)]

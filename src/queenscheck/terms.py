@@ -9,13 +9,14 @@ stack on deep terms. Hashing, comparing, `term_depth`, `is_ground`,
 `Signature.check_term`, `apply_subst` and `format_term` are not bounded by
 the Python stack.
 
-A clause compiles to slot templates (`clause_template`), and the instances
-of an atom template are built by its `atom_builder`: a function generated
-as Python source, in the manner of Warren's compiled clauses, so that
-building an instance runs no interpreter over the template. Callers make
-the builders once per clause: the checkers once per check, the engine when
-the clause is first a candidate in a `solve` call. The source names no
-constant, so the code of one template shape is compiled once and shared.
+A clause compiles to slot templates (`clause_template`). The instances
+of an atom template are built by its `atom_builder`, and a goal is
+unified with a head template by its `head_code`: functions generated as
+Python source, in the manner of Warren's compiled clauses, so that no
+interpreter runs over the template. Callers make them once per clause:
+the checkers once per check, the engine when the clause is first a
+candidate in a `solve` call. The source names no constant, so the code of
+one template shape is compiled once and shared.
 """
 
 from dataclasses import dataclass, field
@@ -412,14 +413,6 @@ def atom_builder(tpl: tuple):
     not recurse, so template depth is not bounded by the Python stack."""
     pred, args = tpl
     consts: list = []  # the predicate, functors and ground subterms
-
-    def const(x) -> str:
-        consts.append(x)
-        return f"k[{len(consts) - 1}]"
-
-    def tuple_text(items) -> str:
-        return "(" + "".join(x + ", " for x in items) + ")"
-
     lines = []  # one statement per compound that holds a slot
     done: list = []  # the expressions of finished templates, left to right
     todo = list(args)[::-1]  # templates to visit, and [functor, arity] to
@@ -430,28 +423,114 @@ def atom_builder(tpl: tuple):
             done.append(f"s[{u}]")
         elif u.__class__ is list:
             functor, n = u
-            lines.append(f"    t{len(lines)} = C({const(functor)}, "
-                         f"{tuple_text(done[len(done) - n:])})")
-            del done[len(done) - n:]
+            lines.append(f"t{len(lines)} = C({_const(consts, functor)}, "
+                         f"{_tuple_text(done, n)})")
             done.append(f"t{len(lines) - 1}")
         elif u.__class__ is tuple:
             todo.append([u[0], len(u[1])])
             todo.extend(reversed(u[1]))
         else:
-            done.append(const(u))
-    lines.append(f"    return A({const(pred)}, {tuple_text(done)})")
-    scope = {"C": Compound, "A": Atom, "k": tuple(consts)}
-    exec(_compiled("\n".join(["def build(s):", *lines])), scope)
-    return scope.pop("build")  # so that the function and its globals form no cycle
+            done.append(_const(consts, u))
+    lines.append(f"return A({_const(consts, pred)}, {_tuple_text(done, len(done))})")
+    return _function("build", "s", lines, consts, C=Compound, A=Atom)
+
+
+def head_code(tpl: tuple, cell, unify, occurs):
+    """The function `(args, slots, trail) -> bool` that unifies the
+    arguments args of a goal, terms on cells of class cell, with the
+    atom template tpl of a clause head of the same arity. It fills slots
+    (one None per head variable) and appends each cell it binds to trail;
+    on failure the caller undoes the trail, like the WAM's get and unify
+    instructions (Warren 1983; Ait-Kaci 1991).
+
+    Its source holds one flat statement group per node of tpl, in
+    pre-order. A slot's first occurrence takes the dereferenced goal
+    term, binding an unbound goal cell to a new cell, so that the goal
+    side is bound, as against a renamed head. A later occurrence, and a
+    ground subterm, calls unify unless the two are one object. A compound
+    n tests the goal term's functor and arity and reads its arguments
+    r{n} (read mode); on an unbound cell c{n}, or below a compound built
+    in write mode, r{n} is None, and a second group after n's children
+    builds t{n} (write mode) and binds c{n} to it. An argument that is
+    linear and whose variables are all new is unified with no occurs
+    scan: it is not subject to occur-check (the NSTO lemma, Apt and
+    Pellegrini 1994). No statement nests another, so template depth is
+    bounded by neither the Python stack nor the compiler's nesting."""
+    consts: list = []  # the functors and ground subterms
+    lines = []
+    seen: set = set()  # the slots filled so far
+    done: list = []  # the expressions of finished templates, left to right
+    for i, arg in enumerate(tpl[1]):
+        occ = [x for x, _ in slot_walk((arg,)) if x.__class__ is int] \
+            if arg.__class__ is tuple else ()
+        scan = len(set(occ)) < len(occ) or not seen.isdisjoint(occ)
+        todo = [(arg, f"a[{i}]", "")]  # (template, its goal term, the test
+        # that the goal term exists), and [n, functor, arity] to build n
+        while todo:
+            u, g, read = todo.pop()
+            if u.__class__ is list:
+                n, f, m = u
+                lines.append(f"if r{n} is None: t{n} = C({f}, {_tuple_text(done, m)})")
+                done.append(f"t{n}")
+                if scan:
+                    lines.append(f"if c{n} is not None and occurs(c{n}, t{n}): return False")
+                lines.append(f"if c{n} is not None: T.append(c{n}); c{n}.ref = t{n}")
+                continue
+            if u.__class__ is not tuple and (u.__class__ is not int or u in seen):
+                e = f"s[{u}]" if u.__class__ is int else _const(consts, u)
+                lines.append(f"if {read + ' and ' if read else ''}{g} is not {e} "
+                             f"and not unify({g}, {e}, T): return False")
+                done.append(e)
+                continue
+            lines += (f"x = {g} if {read} else None" if read else f"x = {g}",
+                      "while x.__class__ is V and x.ref is not None: x = x.ref")
+            if u.__class__ is int:
+                seen.add(u)
+                lines += ("if x.__class__ is V: T.append(x); x.ref = x = V()",
+                          f"s[{u}] = V() if x is None else x" if read else f"s[{u}] = x")
+                done.append(f"s[{u}]")
+                continue
+            n, f = len(lines), _const(consts, u[0])
+            lines += (f"if x.__class__ is C and (x.functor != {f} or len(x.args) != "
+                      f"{len(u[1])}): return False",
+                      f"r{n} = x.args if x.__class__ is C else None",
+                      f"c{n} = x if x.__class__ is V else None")
+            todo.append(([n, f, len(u[1])], "", ""))
+            todo.extend((v, f"r{n}[{j}]", f"r{n} is not None")
+                        for j, v in reversed(list(enumerate(u[1]))))
+    lines.append("return True")
+    return _function("unify_head", "a, s, T", lines, consts, C=Compound, V=cell,
+                     unify=unify, occurs=occurs)
+
+
+def _const(consts: list, x) -> str:
+    """The expression of the generated code that reads x from k."""
+    consts.append(x)
+    return f"k[{len(consts) - 1}]"
+
+
+def _tuple_text(done: list, n: int) -> str:
+    """The tuple of the last n expressions of done, which it pops."""
+    text = "(" + "".join(x + ", " for x in done[len(done) - n:]) + ")"
+    del done[len(done) - n:]
+    return text
+
+
+def _function(name: str, params: str, lines: list, consts: list, **scope):
+    """The function name(params) whose body is lines, with the constants
+    consts as the tuple k, and scope as its other globals."""
+    scope["k"] = tuple(consts)
+    exec(_compiled(f"def {name}({params}):\n    " + "\n    ".join(lines)), scope)
+    return scope.pop(name)  # so that the function and its globals form no cycle
 
 
 @lru_cache(maxsize=256)
 def _compiled(source: str):
-    """The code of a builder's source, compiled once per shape of template
+    """The code of a generated source, compiled once per shape of template
     (in any clause, check or `solve` call) while it stays in the cache. The
     file name differs by shape, as profilers key functions by file, line
     and name."""
-    return compile(source, f"<atom_builder {crc32(source.encode()):08x}>", "exec")
+    return compile(source, f"<generated {crc32(source.encode()):08x}>", "exec")
 
 
 def match_template(tpl: tuple, a: Atom, slots) -> Optional[list]:

@@ -1,11 +1,10 @@
 """Most-general unification on mutable variable cells, with the occur-check.
 
 A `Cell` holds its binding in one slot; binding it appends it to a trail,
-and `undo` empties the slots again. `unify` is the one unifier.
-`try_unify_atoms` is the engine's head code, which unifies a goal with a
-clause's head template without building the renamed head, like the WAM's
-get and unify instructions (Warren 1983; Ait-Kaci 1991). `resolve`
-reads a term back off the cells.
+and `undo` empties the slots again. `unify` is the one unifier, and the
+generated head code of a clause (`terms.head_code`) calls it where a
+head variable occurs again. `try_unify_atoms` runs that head code on a
+goal, and `resolve` reads a term back off the cells.
 """
 
 from .terms import Atom, Compound, Term
@@ -75,78 +74,11 @@ def unify(t1, t2, trail: list) -> bool:
     return True
 
 
-def _build(tpl, slots: list):
-    """The term of tpl, with a new cell in each empty slot it meets."""
-    if tpl.__class__ is int:
-        if slots[tpl] is None:
-            slots[tpl] = Cell()
-        return slots[tpl]
-    if tpl.__class__ is not tuple:
-        return tpl
-    return Compound(tpl[0], tuple([_build(p, slots) for p in tpl[1]]))
-
-
-def _unify_head(tpl, g, slots: list, trail: list, certified: bool) -> bool:
-    """Unify goal term g with tpl, a head template other than a slot's
-    first occurrence, recursing over tpl only: a compound of tpl takes a
-    goal compound apart (read mode) or is built on an unbound cell (write
-    mode). certified skips write mode's occurs scan (see try_unify_atoms)."""
-    if tpl.__class__ is int:
-        return unify(g, slots[tpl], trail)
-    while g.__class__ is Cell and g.ref is not None:
-        g = g.ref
-    if g.__class__ is Cell:
-        t = _build(tpl, slots)  # a ground template needs no occurs scan
-        if not certified and tpl.__class__ is tuple and occurs(g, t):
-            return False
-        g.ref = t
-        trail.append(g)
-        return True
-    if tpl.__class__ is not tuple:
-        return g is tpl or unify(g, tpl, trail)
-    if g.functor != tpl[0] or len(g.args) != len(tpl[1]):
-        return False
-    for p, u in zip(tpl[1], g.args):
-        if p.__class__ is int and slots[p] is None:  # as in try_unify_atoms
-            while u.__class__ is Cell and u.ref is not None:
-                u = u.ref
-            if u.__class__ is Cell:
-                u.ref = Cell()
-                trail.append(u)
-                u = u.ref
-            slots[p] = u
-        elif not _unify_head(p, u, slots, trail, certified):
-            return False
-    return True
-
-
-def try_unify_atoms(goal: Atom, head: tuple, slots: list, trail: list,
-                    first_occurrence: tuple) -> bool:
-    """Unify goal with the clause head whose atom template is head, filling
-    slots (one None per head variable); undoes its bindings on failure.
-
-    A slot's first occurrence takes the dereferenced goal term; an unbound
-    goal cell is bound to a new cell, so that the goal side gets bound, as
-    against a renamed head. first_occurrence[i] certifies that the head's
-    i-th argument is linear and new: by the NSTO lemma (Apt and Pellegrini
-    1994) it is unified with no occurs scan."""
-    pred, tpl = head
-    if goal.pred != pred or len(goal.args) != len(tpl):
-        return False
-    mark = len(trail)
-    for p, g, certified in zip(tpl, goal.args, first_occurrence):
-        if p.__class__ is int and slots[p] is None:
-            while g.__class__ is Cell and g.ref is not None:
-                g = g.ref
-            if g.__class__ is Cell:
-                g.ref = Cell()
-                trail.append(g)
-                g = g.ref
-            slots[p] = g
-        elif not _unify_head(p, g, slots, trail, certified):
-            undo(trail, mark)
-            return False
-    return True
+def try_unify_atoms(goal: Atom, head, slots: list, trail: list) -> bool:
+    """Unify goal with the clause head whose head code is head (see
+    `terms.head_code`), filling slots; the caller undoes the trail on
+    failure."""
+    return head(goal.args, slots, trail)
 
 
 def resolve(t, names: dict, fresh=None) -> Term:

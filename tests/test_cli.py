@@ -284,15 +284,23 @@ def test_query_deep_non_list_answer(capsys, tmp_path):
     assert out.startswith("d(3000," + "f(" * 3000 + "z")
 
 
-def test_query_resource_exhaustion_exit(capsys, tmp_path):
-    # the engine's head code recurses once per level of a clause head's
-    # non-ground term, so a head nested 3000 deep around a variable
-    # exhausts the stack
-    f = tmp_path / "h.pl"
-    f.write_text("h(" + "f(" * 3000 + "X" + ")" * 3000 + ").\n")
-    code, out, err = run(capsys, "query", str(f), "h(Y)")
-    assert code == EXIT_RESOURCE
-    assert err.startswith("error: ") and "Traceback" not in err
+def test_query_resource_exhaustion_exit(tmp_path):
+    # a query too large for the address space left to the process raises
+    # MemoryError, which exits 4 with one error line and no traceback. The
+    # CLI runs in a child process that lowers its own RLIMIT_AS, once the
+    # package is imported, to 64 MB above the size it has then
+    f = tmp_path / "len.pl"
+    f.write_text("len([], 0).\nlen([_|T], s(N)) :- len(T, N).\n")
+    child = ("import resource, sys\n"
+             "from queenscheck.cli import main\n"
+             "size = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize()\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (size + (64 << 20), resource.RLIM_INFINITY))\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(queenscheck.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", child, "query", str(f), "len(L,10000000)"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_RESOURCE
+    assert proc.stderr.startswith("error: MemoryError") and "Traceback" not in proc.stderr
 
 
 def _nest(functor, depth, leaf):
@@ -309,10 +317,15 @@ _F3000 = _nest("f", 3000, "a")
     ("len([], 0).\nlen([_|T], s(N)) :- len(T, N).\n", "len(L," + _nest("s", 5000, "0") + ")",
      None, ["len([" + ",".join(f"_G{i}" for i in range(1, 5001)) + "],5000)"]),
     (f"p :- q({_F3000}).\nq(_).\n", "p", None, ["p"]),
-], ids=["fact-s", "fact-f", "fact-f-signature", "query-s", "body-f"])
+    (f"h({_nest('f', 3000, 'X')}).\n", "h(Y)", None, [f"h({_nest('f', 3000, '_G1')})"]),
+    ("p([" + "a," * 2999 + "a|T]).\n", "p(Z)", None, ["p([" + "a," * 2999 + "a|_G1])"]),
+    (f"h({_nest('f', 10000, 'X')}).\n", "h(Y)", None, [f"h({_nest('f', 10000, '_G1')})"]),
+], ids=["fact-s", "fact-f", "fact-f-signature", "query-s", "body-f", "head-f", "head-list",
+        "head-f-10000"])
 def test_deeply_nested_input_answers(capsys, tmp_path, source, query, signature, want):
-    # terms are parsed with an explicit stack, so nesting thousands of
-    # levels deep in a fact, a rule body or a query answers
+    # terms are parsed with an explicit stack and heads are unified by flat
+    # generated code, so nesting thousands of levels deep in a fact, a rule
+    # head or body, or a query answers
     f = tmp_path / "deep.pl"
     f.write_text(source)
     argv = ["query", str(f), query]

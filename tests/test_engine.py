@@ -32,6 +32,7 @@ from queenscheck.terms import (
     match_template,
     term_vars,
 )
+from conftest import time_limit
 from unify_oracle import mgu
 
 
@@ -142,7 +143,25 @@ OCCURS_FAILURES = [
 
 @pytest.mark.parametrize("source, query", OCCURS_FAILURES)
 def test_occurs_failures_give_no_answer(source, query):
-    assert solve_answers(parse_program(source), parse_query(query)) == []
+    # a skipped occurs scan binds a cell into its own term, and reading the
+    # answer back then walks the cycle without end: the bound makes that a
+    # failure, not a hang
+    with time_limit(0.5):
+        assert solve_answers(parse_program(source), parse_query(query)) == []
+
+
+@pytest.mark.parametrize("body, head", [
+    (Atom("p", (Var("X"), Var("Y"))), Atom("p", (Compound("a"),))),
+    (Atom("p", (Var("X"),)), Atom("p", (Compound("a"), Compound("b")))),
+], ids=["goal-wider", "goal-narrower"])
+def test_index_keeps_arities_apart(body, head):
+    # clauses are indexed by predicate and arity: a body atom whose arity no
+    # head of its predicate has gets no candidate, and never reaches head code
+    # that reads past its arguments. The program is built without the
+    # parser, which would refuse the mismatch.
+    q = Atom("q", ())
+    program = Program((Clause(q, (body,)), Clause(head)))
+    assert solve_answers(program, Query((q,))) == []
 
 
 def test_linear_head_against_nonlinear_goal():
@@ -173,12 +192,14 @@ def _head_and_goal(draw):
 @given(_head_and_goal())
 def test_one_clause_program_agrees_with_unify_atoms(case):
     # the reference unifier keeps the full occurs scan, so it is the
-    # reference for the engine's pre-check and first-occurrence flags; its
-    # instance of the goal is the reference for the engine's head code
+    # reference for the head code's functor tests and first-occurrence
+    # flags; its instance of the goal is the reference for what head code
+    # binds. The bound turns an answer with a cyclic binding into a failure
     head, goal = case
     goal_term = Compound(goal.pred, goal.args)
     theta = mgu(goal_term, Compound(head.pred, head.args))
-    answers = solve_answers(Program((Clause(head),)), Query((goal,)))
+    with time_limit(0.5):
+        answers = solve_answers(Program((Clause(head),)), Query((goal,)))
     assert len(answers) == (0 if theta is None else 1)
     if answers:
         got = answers[0].instantiated_query.atoms[0]

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "queenscheck"
 
 
@@ -78,14 +80,18 @@ def test_one_binding_store():
         assert not {"bindings", "occur_check"} & set(params), name
 
 
-def test_parser_calls_form_no_cycle():
-    # the parser reads terms with an explicit stack, so no function or
-    # method of it may reach itself again through calls. A call on self
-    # goes to its own class; a call on another receiver goes to every
-    # method of that name, which can add a cycle but never hide one; a
-    # call through super() leaves the module, whose classes subclass none
-    # of each other
-    tree = ast.parse((SRC / "parser.py").read_text())
+@pytest.mark.parametrize("module, caller", [
+    ("parser.py", "_Parser.term"), ("unify.py", "try_unify_atoms"), ("engine.py", "_run"),
+], ids=["parser.py", "unify.py", "engine.py"])
+def test_parser_calls_form_no_cycle(module, caller):
+    # the parser reads terms with an explicit stack, and the unifier and the
+    # engine walk terms and templates with explicit stacks or generated flat
+    # code, so no function or method of them may reach itself again through
+    # calls. A call on self goes to its own class; a call on another
+    # receiver goes to every method of that name, which can add a cycle but
+    # never hide one; a call through super() leaves the module, whose
+    # classes subclass none of each other
+    tree = ast.parse((SRC / module).read_text())
     classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
     owner = {node: node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     owner.update((f, f"{node.name}.{f.name}") for node in tree.body
@@ -107,7 +113,7 @@ def test_parser_calls_form_no_cycle():
             elif isinstance(f, ast.Attribute) and not (
                     isinstance(f.value, ast.Call) and getattr(f.value.func, "id", "") == "super"):
                 out |= by_name.get(f.attr, set())
-    assert "_Parser.term" in calls
+    assert caller in calls
     cyclic = []
     for start in calls:
         seen, todo = set(), [start]
