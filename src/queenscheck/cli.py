@@ -8,6 +8,7 @@ fixed command line, whatever PYTHONHASHSEED is.
 
 import argparse
 import json
+import mmap
 import sys
 
 from .engine import SELECTION_RULES, SearchTruncated, SolveOptions, solve
@@ -49,6 +50,11 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAPPED = 3
 EXIT_RESOURCE = 4
+
+#: Bytes of address space that main holds back while a command runs and
+#: gives up on MemoryError, so that the error line can still be printed
+#: when the run has filled the rest.
+RESERVE_BYTES = 1 << 22
 
 
 def _positive(text: str) -> int:
@@ -221,6 +227,7 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
+    reserve = mmap.mmap(-1, RESERVE_BYTES)  # mapped, never touched
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -236,8 +243,13 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (RecursionError, MemoryError) as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_RESOURCE
+        # give up the reserve first: naming the error allocates. Print once
+        # out of the handler, whose traceback holds the frames of the
+        # failed run and all they built
+        reserve.close()
+        error = f"error: {type(e).__name__}: {e}"
+    print(error, file=sys.stderr)
+    return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

@@ -284,23 +284,40 @@ def test_query_deep_non_list_answer(capsys, tmp_path):
     assert out.startswith("d(3000," + "f(" * 3000 + "z")
 
 
-def test_query_resource_exhaustion_exit(tmp_path):
-    # a query too large for the address space left to the process raises
-    # MemoryError, which exits 4 with one error line and no traceback. The
-    # CLI runs in a child process that lowers its own RLIMIT_AS, once the
-    # package is imported, to 64 MB above the size it has then
+def _run_out_of_memory(tmp_path, headroom):
+    """Exit code and stderr of `query len(L,10000000)`, which builds ten
+    million terms. The CLI runs in a child process that lowers its own
+    RLIMIT_AS, once the package is imported, to headroom bytes above the
+    size it has then."""
     f = tmp_path / "len.pl"
     f.write_text("len([], 0).\nlen([_|T], s(N)) :- len(T, N).\n")
     child = ("import resource, sys\n"
              "from queenscheck.cli import main\n"
              "size = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize()\n"
-             "resource.setrlimit(resource.RLIMIT_AS, (size + (64 << 20), resource.RLIM_INFINITY))\n"
+             f"resource.setrlimit(resource.RLIMIT_AS, (size + {headroom}, resource.RLIM_INFINITY))\n"
              "sys.exit(main(sys.argv[1:]))\n")
     env = {**os.environ, "PYTHONPATH": str(Path(queenscheck.__file__).parent.parent)}
     proc = subprocess.run([sys.executable, "-c", child, "query", str(f), "len(L,10000000)"],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == EXIT_RESOURCE
-    assert proc.stderr.startswith("error: MemoryError") and "Traceback" not in proc.stderr
+                          capture_output=True, text=True, env=env, timeout=30)
+    return proc.returncode, proc.stderr
+
+
+def test_query_resource_exhaustion_exit(tmp_path):
+    # a query too large for the address space left to the process raises
+    # MemoryError, which exits 4 with one error line and no traceback
+    code, err = _run_out_of_memory(tmp_path, 64 << 20)
+    assert code == EXIT_RESOURCE
+    assert err.startswith("error: MemoryError") and "Traceback" not in err
+
+
+def test_query_resource_exhaustion_exit_any_headroom(tmp_path):
+    # where the run stops depends on how much room is left; printing the
+    # error line while the failed run still held all the memory hung or
+    # raised again at about half of these
+    for k in range(8):
+        code, err = _run_out_of_memory(tmp_path, (64 << 20) + k * 15838)
+        assert (k, code) == (k, EXIT_RESOURCE), err[-500:]
+        assert err.startswith("error: MemoryError") and "Traceback" not in err
 
 
 def _nest(functor, depth, leaf):
