@@ -51,6 +51,10 @@ EXIT_USAGE = 2
 EXIT_CAPPED = 3
 EXIT_RESOURCE = 4
 
+#: main's except clauses name these, as building a tuple there allocates.
+_RESOURCE_ERRORS = (RecursionError, MemoryError)
+_INPUT_ERRORS = (ParseError, SignatureError, OSError, ValueError)
+
 #: Bytes of address space that main holds back while a command runs and
 #: gives up on MemoryError, so that the error line can still be printed
 #: when the run has filled the rest.
@@ -239,15 +243,15 @@ def main(argv=None) -> int:
         if args.command == "query":
             return cmd_query(args)
         return cmd_verify(args)
-    except (ParseError, SignatureError, OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (RecursionError, MemoryError) as e:
+    except _RESOURCE_ERRORS as e:
         # give up the reserve first: naming the error allocates. Print once
         # out of the handler, whose traceback holds the frames of the
         # failed run and all they built
         reserve.close()
         error = f"error: {type(e).__name__}: {e}"
+    except _INPUT_ERRORS as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     print(error, file=sys.stderr)
     return EXIT_RESOURCE
 

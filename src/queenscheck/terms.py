@@ -2,10 +2,13 @@
 
 Numbers are successor terms s(s(...s(0)...)); lists are cons/nil chains.
 Everything is immutable and hashable, so values can be shared freely.
-A `Compound` carries its hash and its depth, computed once when it is
-built, so set and dict operations and `term_depth` do not walk the term;
-equality walks it only when the hashes and functors agree, with an explicit
-stack on deep terms. Hashing, comparing, `term_depth`, `is_ground`,
+A `Compound` carries its hash, its depth and whether it is ground, computed
+once when it is built, so set and dict operations, `term_depth` and
+`is_ground` do not walk the term; equality walks it only when the hashes
+and functors agree, with an explicit stack on deep terms. The walkers
+(`apply_subst`, `term_vars`, `clause_template`, and `unify`'s) stop at a
+ground subterm and keep it as it is, so a ground term is one object to
+them however many nodes it shares. Hashing, comparing,
 `Signature.check_term`, `apply_subst` and `format_term` are not bounded by
 the Python stack.
 
@@ -42,20 +45,27 @@ _SHALLOW = 100
 class Compound:
     """functor(args...), a constant when args is empty. `_hash` is
     hash((functor, args)), the value a frozen dataclass of the two fields
-    has, and `depth` is `term_depth`'s; both are computed from the
+    has, `depth` is `term_depth`'s, and `ground` is true when no `Var` or
+    `unify.Cell` occurs in the term; all three are computed from the
     children's when the term is built. Assignment raises."""
 
-    __slots__ = ("functor", "args", "_hash", "depth")
+    __slots__ = ("functor", "args", "_hash", "depth", "ground")
 
     def __init__(self, functor: str, args: tuple = ()):
-        depth = 0
+        depth, ground = 0, True
         for a in args:
-            if a.__class__ is Compound and a.depth > depth:
-                depth = a.depth
+            if a.__class__ is not Compound:
+                ground = False
+            else:
+                if a.depth > depth:
+                    depth = a.depth
+                if not a.ground:
+                    ground = False
         _set_functor(self, functor)
         _set_args(self, args)
         _set_hash(self, hash((functor, args)))
         _set_depth(self, depth + 1 if args else 0)
+        _set_ground(self, ground)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"Compound is immutable: cannot set {name!r}")
@@ -100,6 +110,7 @@ _set_functor = Compound.functor.__set__
 _set_args = Compound.args.__set__
 _set_hash = Compound._hash.__set__
 _set_depth = Compound.depth.__set__
+_set_ground = Compound.ground.__set__
 
 
 Term = Union[Var, Compound]
@@ -329,7 +340,7 @@ def apply_subst(s: Substitution, t: Term) -> Term:
             done.append(Compound(functor, args))
         elif isinstance(u, Var):
             done.append(s.get(u, u))
-        elif not u.args:
+        elif u.ground:
             done.append(u)
         else:
             todo.append((u.functor, len(u.args)))
@@ -346,19 +357,13 @@ def term_vars(ts) -> list:
             if u not in seen:
                 seen.add(u)
                 out.append(u)
-        else:
+        elif not u.ground:
             todo.extend(reversed(u.args))
     return out
 
 
 def is_ground(t: Term) -> bool:
-    todo = [t]
-    while todo:
-        u = todo.pop()
-        if isinstance(u, Var):
-            return False
-        todo.extend(u.args)
-    return True
+    return t.__class__ is Compound and t.ground
 
 
 def term_depth(t: Term) -> int:
@@ -386,11 +391,10 @@ def clause_template(c: Clause) -> tuple:
                 t = u[0]
                 args = tuple(done[len(done) - len(t.args):])
                 del done[len(done) - len(t.args):]
-                ground = all(x.__class__ is Compound for x in args)
-                done.append(t if ground else (t.functor, args))
+                done.append((t.functor, args))
             elif isinstance(u, Var):
                 done.append(index.setdefault(u, len(index)))
-            elif not u.args:
+            elif u.ground:
                 done.append(u)
             else:
                 todo.append([u])

@@ -4,7 +4,10 @@ A `Cell` holds its binding in one slot; binding it appends it to a trail,
 and `undo` empties the slots again. `unify` is the one unifier, and the
 generated head code of a clause (`terms.head_code`) calls it where a
 head variable occurs again. `try_unify_atoms` runs that head code on a
-goal, and `resolve` reads a term back off the cells.
+goal, and `resolve` reads a term back off the cells. A ground compound
+holds no cell (`Compound.ground`), so `unify` decides two of them by `==`,
+which compares their cached hashes first, `occurs` does not scan one, and
+`resolve` returns one as it is.
 """
 
 from .terms import Atom, Compound, Term
@@ -34,13 +37,14 @@ def undo(trail: list, mark: int):
 
 
 def occurs(v: Cell, t) -> bool:
+    """Whether the unbound cell v occurs in t; ground subterms are skipped."""
     stack = [t]
     while stack:
         u = deref(stack.pop())
         if u is v:
             return True
-        if u.__class__ is not Cell:
-            stack.extend(u.args)
+        if u.__class__ is not Cell and not u.ground:
+            stack.extend([a for a in u.args if a.__class__ is not Compound or not a.ground])
     return False
 
 
@@ -66,6 +70,9 @@ def unify(t1, t2, trail: list) -> bool:
                 return False
             b.ref = a
             trail.append(b)
+        elif a.ground and b.ground:
+            if not a == b:
+                return False
         elif a.functor != b.functor or len(a.args) != len(b.args):
             return False
         else:
@@ -107,7 +114,7 @@ def resolve(t, names: dict, fresh=None) -> Term:
                 done.append(names.setdefault(u, fresh()))
             else:
                 todo += ([u], u.ref)
-        elif not u.args:
+        elif u.ground:
             done.append(u)
         else:
             todo.append((u.functor, len(u.args)))

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import dis
 import json
 import os
 import re
@@ -13,6 +14,7 @@ import queenscheck
 from queenscheck.cli import EXIT_CAPPED, EXIT_FAIL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 from queenscheck.parser import parse_term
 from queenscheck.queens import NQUEENS_SOURCE
+from conftest import time_limit
 from test_engine import OCCURS_FAILURES
 
 
@@ -318,6 +320,26 @@ def test_query_resource_exhaustion_exit_any_headroom(tmp_path):
         code, err = _run_out_of_memory(tmp_path, (64 << 20) + k * 15838)
         assert (k, code) == (k, EXIT_RESOURCE), err[-500:]
         assert err.startswith("error: MemoryError") and "Traceback" not in err
+
+
+def test_no_except_in_main_builds_its_tuple():
+    # a handler that builds its tuple of exception classes allocates while
+    # matching, which raises MemoryError again when memory is exhausted
+    code = list(dis.get_instructions(main))
+    matched = [code[i - 1] for i, ins in enumerate(code) if ins.opname == "CHECK_EXC_MATCH"]
+    assert [ins.opname for ins in matched] == ["LOAD_GLOBAL"] * 3
+
+
+def test_query_long_ground_list_answers_in_linear_time(capsys, tmp_path):
+    # a ground list is unified, scanned and read back as one object, not
+    # walked node by node, though its numerals share their subterms
+    f = tmp_path / "big.pl"
+    numbers = ",".join(map(str, range(3000)))
+    f.write_text(f"big([{numbers}]).\n")
+    with time_limit(10):
+        code, out, err = run(capsys, "query", str(f), "big(X)")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines() == [f"big([{numbers}])", "1 answers"]
 
 
 def _nest(functor, depth, leaf):

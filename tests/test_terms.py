@@ -34,6 +34,7 @@ from queenscheck.terms import (
     term_depth,
     term_vars,
 )
+from queenscheck.unify import Cell, resolve
 from unify_oracle import mgu
 
 X, Y, V = Var("X"), Var("Y"), Var("V")
@@ -125,6 +126,46 @@ def test_groundness():
     assert not all(is_ground(t) for t in Atom("pq", (X,)).args)
 
 
+def _walk_finds_no_var_or_cell(t):
+    return t.__class__ is Compound and all(map(_walk_finds_no_var_or_cell, t.args))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_ground_flag_agrees_with_a_full_walk(data):
+    leaves = [X, Cell(), a, NIL, numeral(0), numeral(3)]
+    t = data.draw(_terms(leaves + [make_list([numeral(2), X]), cons(Cell(), NIL)]))
+    assert t.__class__ is not Compound or t.ground == _walk_finds_no_var_or_cell(t)
+    assert is_ground(t) == _walk_finds_no_var_or_cell(t)
+
+
+def _shared_numerals(n):
+    """numeral(0), ..., numeral(n - 1), each the successor of the one
+    before, as the parser shares them."""
+    out = [ZERO]
+    while len(out) < n:
+        out.append(Compound("s", (out[-1],)))
+    return out
+
+
+#: A ground list of 3,000 numerals sharing their subterms: walked as a
+#: tree it has about 4.5 million nodes.
+_BIG = make_list(_shared_numerals(3000))
+
+
+def test_walkers_keep_ground_subterms_as_they_are():
+    c = Clause(Atom("p", (X, _BIG)), (Atom("q", (_BIG, Compound("f", (X, _BIG)))),))
+    _, (_, head), ((_, body),) = clause_template(c)
+    assert head[1] is _BIG and body[0] is _BIG and body[1] == ("f", (0, _BIG))
+    assert body[1][1][1] is _BIG
+    assert apply_subst({X: a}, _BIG) is _BIG
+    assert apply_subst({X: a}, Compound("f", (X, _BIG))).args[1] is _BIG
+    assert resolve(_BIG, {}) is _BIG
+    cell = Cell()
+    assert resolve(Compound("f", (cell, _BIG)), {cell: a}).args[1] is _BIG
+    assert term_vars([Compound("f", (_BIG, X))]) == [X]
+
+
 def test_depths():
     assert term_depth(ZERO) == 0
     assert term_depth(X) == 0
@@ -195,7 +236,7 @@ def test_cached_hash_depth_and_equality_agree_with_plain_tuples(p, q, same):
     assert term_depth(ds) == term_depth(s) + 150
 
 
-@pytest.mark.parametrize("field", ["functor", "args", "depth"])
+@pytest.mark.parametrize("field", ["functor", "args", "depth", "ground"])
 def test_compound_is_immutable(field):
     t = numeral(2)
     with pytest.raises(AttributeError):
