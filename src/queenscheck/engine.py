@@ -5,13 +5,15 @@ is switchable; a depth limit (resolution steps per derivation branch)
 turns silent truncation into an explicit stream marker.
 
 The machine (`_run`) keeps a stack of frames, one per resolvent on the
-current branch: its goals, the resolution steps that led to it, the
-selected goal, the index of the next clause to try on that goal, and the
-trail mark to undo to before trying it. Expanding a resolvent pushes a
-frame, and a frame whose clauses are used up is popped, which is
-backtracking. The stack lives on the heap, and the walkers that build an
-answer's terms are iterative too, so neither a long derivation nor a deep
-answer term deepens the Python stack. `solve` streams the machine's answers.
+current branch with clauses left to try: its goals, the resolution steps
+that led to it, the selected goal, its candidates, the index of the next
+one to try, and the trail mark to undo to before trying it. Expanding a
+resolvent pushes a frame unless its goal has no candidates, and taking a
+frame's last candidate pops it, like the WAM's `trust_me`: the parent's
+mark still undoes that candidate's bindings. Popping is backtracking. The
+stack lives on the heap, and the walkers that build an answer's terms are
+iterative too, so neither a long derivation nor a deep answer term deepens
+the Python stack. `solve` streams the machine's answers.
 
 Goals are atoms on `unify.Cell`s, bound in place and undone from the
 trail; they become terms only when an answer is produced. Each `solve`
@@ -19,12 +21,14 @@ call indexes the clauses of each predicate and arity on the principal
 functor of their first head argument (Warren's `switch_on_term`): a goal
 whose first argument is bound looks up the clauses with that functor or a
 variable there, in source order, and a goal whose first argument is
-unbound takes them all. A clause is compiled the first time it is such a
-candidate in the call, so clauses that the query never reaches are never
-compiled: its head to head code (`terms.head_code`), which tests each
-functor and fills the slots, and each body atom to an atom builder
-(`terms.atom_builder`), which builds the atom from those slots, with a new
-cell for each variable that occurs only in the body.
+unbound takes them all. The list for each predicate, arity and key is
+made once per call and then taken from a cache. A clause is compiled when
+it first enters such a list, so clauses that the query never reaches are
+never compiled, to one function, its clause code (`terms.head_code`):
+it tests each functor of the head, binds the goal's cells, and returns
+the body's atoms on the head's variables, each variable that occurs only
+in the body on a new cell. A head variable takes an unbound goal cell as
+it is, unless the cell is one of the query's own (see `head_code`).
 """
 
 from dataclasses import dataclass
@@ -39,14 +43,16 @@ from .terms import (
     Query,
     Var,
     apply_subst,
-    atom_builder,
     clause_template,
     head_code,
     term_vars,
 )
 from .unify import Cell, deref, occurs, resolve_atom, try_unify_atoms, undo, unify
 
-SELECTION_RULES = ("leftmost", "rightmost", "fair")
+#: the position of the selected goal, from the number of goals and of steps
+_SELECT = {"leftmost": lambda n, steps: 0, "rightmost": lambda n, steps: n - 1,
+           "fair": lambda n, steps: steps % n}
+SELECTION_RULES = tuple(_SELECT)
 _NO_CLAUSES = ((), (), {})  # the _index entry of a predicate with no clauses
 
 
@@ -76,14 +82,6 @@ class SearchTruncated:
     branches_cut: int
 
 
-def _select(rule: str, n_goals: int, step: int) -> int:
-    if rule == "leftmost":
-        return 0
-    if rule == "rightmost":
-        return n_goals - 1
-    return step % n_goals
-
-
 def _answer(qvars, qcells, atoms) -> Answer:
     """The answer of atoms, the query's atoms on the cells qcells of its
     variables qvars: unbound query cells keep their names, and the other
@@ -97,26 +95,17 @@ def _answer(qvars, qcells, atoms) -> Answer:
                   inst)
 
 
-# --- compiled clauses ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Compiled:
-    head_vars: int  # number of variables in the head; they come first
-    body_vars: int  # number of variables that occur in the body only
-    head: object  # head code of the head template (see terms.head_code)
-    body: tuple  # atom builder per body atom (see terms.atom_builder)
-
+# --- clause code --------------------------------------------------------------
 
 def _principal(t):
     """(functor, arity) of a compound, None for a variable or a cell."""
     return (t.functor, len(t.args)) if t.__class__ is Compound else None
 
 
-def _compile(c: Clause) -> _Compiled:
-    vs, head, body = clause_template(c)
-    n = len(term_vars(c.head.args))
-    return _Compiled(n, len(vs) - n, head_code(head, Cell, unify, occurs),
-                     tuple(map(atom_builder, body)))
+def _compile(c: Clause):
+    """The clause code of c (see terms.head_code)."""
+    _, head, body = clause_template(c)
+    return head_code(head, body, Cell, unify, occurs)
 
 
 def _index(program: Program) -> dict:
@@ -143,18 +132,22 @@ def _index(program: Program) -> dict:
     return index
 
 
-def _candidates(index: dict, goal: Atom) -> list:
-    """The compiled clauses of goal's predicate and arity in index (an
-    _index), whose first head argument is a variable or, unless goal's
+def _candidates(index: dict, cache: dict, goal: Atom) -> list:
+    """The clause code of the clauses of goal's predicate and arity in index
+    (an _index), whose first head argument is a variable or, unless goal's
     first argument dereferences to an unbound cell, has its principal
-    functor."""
-    clauses, var_first, by_key = index.get((goal.pred, len(goal.args)), _NO_CLAUSES)
-    key = _principal(deref(goal.args[0])) if goal.args else None
-    positions = range(len(clauses)) if key is None else by_key.get(key, var_first)
-    for k in positions:
-        if clauses[k].__class__ is Clause:
-            clauses[k] = _compile(clauses[k])
-    return [clauses[k] for k in positions]
+    functor. The list of each predicate, arity and first-argument key is
+    made once and kept in cache."""
+    key = (goal.pred, len(goal.args), _principal(deref(goal.args[0])) if goal.args else None)
+    found = cache.get(key)
+    if found is None:
+        clauses, var_first, by_key = index.get(key[:2], _NO_CLAUSES)
+        positions = range(len(clauses)) if key[2] is None else by_key.get(key[2], var_first)
+        for k in positions:
+            if clauses[k].__class__ is Clause:
+                clauses[k] = _compile(clauses[k])
+        found = cache[key] = [clauses[k] for k in positions]
+    return found
 
 
 # --- the machine --------------------------------------------------------------
@@ -167,7 +160,7 @@ class _Frame:
         self.steps = steps
         self.index = index  # position of the selected goal
         self.goal = goals[index]
-        self.clauses = clauses  # compiled candidates for the selected goal
+        self.clauses = clauses  # clause code of the candidates for the selected goal
         self.next = 0  # index in clauses of the next one to try
         self.mark = mark  # trail length when the frame was pushed
 
@@ -176,9 +169,11 @@ def _run(program: Program, query: Query, opts: SolveOptions
          ) -> Iterator[Union[Answer, SearchTruncated]]:
     """Answers of every successful branch, then SearchTruncated if the depth
     limit cut any branch."""
-    index = _index(program)
+    index, cache = _index(program), {}
+    select, limit = _SELECT[opts.selection_rule], opts.depth_limit
     qvars = term_vars([t for a in query.atoms for t in a.args])
     qcells = [Cell() for _ in qvars]
+    own = set(qcells)
     on_cells = dict(zip(qvars, qcells))
     atoms = tuple([Atom(a.pred, tuple([apply_subst(on_cells, t) for t in a.args]))
                    for a in query.atoms])
@@ -190,30 +185,28 @@ def _run(program: Program, query: Query, opts: SolveOptions
         if goals is not None:
             if not goals:
                 yield _answer(qvars, qcells, atoms)
-            elif opts.depth_limit is not None and steps >= opts.depth_limit:
+            elif limit is not None and steps >= limit:
                 cut += 1
             else:
-                idx = _select(opts.selection_rule, len(goals), steps)
-                cands = _candidates(index, goals[idx])
-                stack.append(_Frame(goals, steps, idx, cands, len(trail)))
+                idx = select(len(goals), steps)
+                cands = _candidates(index, cache, goals[idx])
+                if cands:
+                    stack.append(_Frame(goals, steps, idx, cands, len(trail)))
             goals = None
         if not stack:
             break
         frame = stack[-1]
         if len(trail) > frame.mark:
             undo(trail, frame.mark)
-        if frame.next == len(frame.clauses):
-            stack.pop()
-            continue
-        cc = frame.clauses[frame.next]
+        code = frame.clauses[frame.next]
         frame.next += 1
-        slots = [None] * cc.head_vars
-        if not try_unify_atoms(frame.goal, cc.head, slots, trail):
+        if frame.next == len(frame.clauses):
+            stack.pop()  # the parent's mark undoes the last candidate's bindings
+        body = try_unify_atoms(frame.goal, code, trail, own)
+        if not body:
             continue
-        if cc.body_vars:
-            slots += [Cell() for _ in range(cc.body_vars)]
-        body = tuple([build(slots) for build in cc.body])
-        goals = frame.goals[:frame.index] + body + frame.goals[frame.index + 1:]
+        i = frame.index
+        goals = frame.goals[:i] + (() if body is True else body) + frame.goals[i + 1:]
         steps = frame.steps + 1
     if cut:
         yield SearchTruncated(cut)

@@ -13,13 +13,14 @@ them however many nodes it shares. Hashing, comparing,
 the Python stack.
 
 A clause compiles to slot templates (`clause_template`). The instances
-of an atom template are built by its `atom_builder`, and a goal is
-unified with a head template by its `head_code`: functions generated as
-Python source, in the manner of Warren's compiled clauses, so that no
-interpreter runs over the template. Callers make them once per clause:
-the checkers once per check, the engine when the clause is first a
-candidate in a `solve` call. The source names no constant, so the code of
-one template shape is compiled once and shared.
+of an atom template are built by its `atom_builder`, and a clause's
+`head_code` unifies a goal with its head and builds its body atoms, with
+the head's variables as locals: functions generated as Python source, in
+the manner of Warren's compiled clauses, so that no interpreter runs over
+the template. Callers make them once per clause: the checkers once per
+check, the engine when the clause is first a candidate in a `solve` call.
+The source names no constant, so the code of one template shape is
+compiled once and shared.
 """
 
 from dataclasses import dataclass, field
@@ -233,12 +234,14 @@ class Signature:
 
     def check_term(self, t: Term):
         """Raise SignatureError at the first subterm, in text order, whose
-        symbol is undeclared or used with another arity; iterative."""
-        todo = [t]
+        symbol is undeclared or used with another arity; iterative, and a
+        subterm that occurs again is checked once."""
+        todo, seen = [t], set()
         while todo:
             t = todo.pop()
-            if isinstance(t, Var):
+            if isinstance(t, Var) or t in seen:
                 continue
+            seen.add(t)
             a = self.arity(t.functor)
             if a is None:
                 raise SignatureError(f"undeclared symbol {t.functor}/{len(t.args)}")
@@ -405,26 +408,31 @@ def clause_template(c: Clause) -> tuple:
 
 
 def atom_builder(tpl: tuple):
-    """The function that takes a slot list to the atom of the atom template
-    tpl with slot i filled by slots[i], that is the template's atom under
-    the substitution of each variable by its slot.
+    """The function that takes a slot list s to the atom of the atom
+    template tpl with slot i filled by s[i], that is the template's atom
+    under the substitution of each variable by its slot."""
+    consts: list = []
+    lines: list = []
+    atom = _atom_text(tpl, consts, lines, "s[{}]")
+    return _function("build", "s", lines + [f"return {atom}"], consts, C=Compound, A=Atom)
 
-    Its source is generated once, with one flat statement per compound of
-    tpl that holds a slot, children first, then the atom. The predicate,
-    the functors and the ground subterms reach it through the tuple of
-    constants k, never as source text, so templates of one shape share
-    one compiled code. The walk is iterative and the built function does
-    not recurse, so template depth is not bounded by the Python stack."""
+
+def _atom_text(tpl: tuple, consts: list, lines: list, slot: str) -> str:
+    """The expression of the atom of the atom template tpl, after appending
+    to lines one flat statement per compound of tpl that holds a slot,
+    children first; slot.format(i) is the expression of slot i. The
+    predicate, the functors and the ground subterms are read from the
+    tuple of constants k, never as source text, so templates of one shape
+    share one compiled code. The walk is iterative and the code does not
+    recurse, so template depth is not bounded by the Python stack."""
     pred, args = tpl
-    consts: list = []  # the predicate, functors and ground subterms
-    lines = []  # one statement per compound that holds a slot
     done: list = []  # the expressions of finished templates, left to right
     todo = list(args)[::-1]  # templates to visit, and [functor, arity] to
     # build from done
     while todo:
         u = todo.pop()
         if u.__class__ is int:
-            done.append(f"s[{u}]")
+            done.append(slot.format(u))
         elif u.__class__ is list:
             functor, n = u
             lines.append(f"t{len(lines)} = C({_const(consts, functor)}, "
@@ -435,36 +443,45 @@ def atom_builder(tpl: tuple):
             todo.extend(reversed(u[1]))
         else:
             done.append(_const(consts, u))
-    lines.append(f"return A({_const(consts, pred)}, {_tuple_text(done, len(done))})")
-    return _function("build", "s", lines, consts, C=Compound, A=Atom)
+    return f"A({_const(consts, pred)}, {_tuple_text(done, len(done))})"
 
 
-def head_code(tpl: tuple, cell, unify, occurs):
-    """The function `(args, slots, trail) -> bool` that unifies the
-    arguments args of a goal, terms on cells of class cell, with the
-    atom template tpl of a clause head of the same arity. It fills slots
-    (one None per head variable) and appends each cell it binds to trail;
-    on failure the caller undoes the trail, like the WAM's get and unify
-    instructions (Warren 1983; Ait-Kaci 1991).
+def head_code(head: tuple, body: tuple, cell, unify, occurs):
+    """The clause code of the clause with head template head and body atom
+    templates body: the function `(args, T, Q)` that unifies the arguments
+    args of a goal, terms on cells of class cell, with the head, appending
+    each cell it binds to the trail T, and returns the body's atoms on the
+    head's variables, True for a unit clause, or False on failure, when
+    the caller undoes the trail; like the WAM's get and unify
+    instructions (Warren 1983; Ait-Kaci 1991). Q holds the query's cells.
 
-    Its source holds one flat statement group per node of tpl, in
-    pre-order. A slot's first occurrence takes the dereferenced goal
-    term, binding an unbound goal cell to a new cell, so that the goal
-    side is bound, as against a renamed head. A later occurrence, and a
-    ground subterm, calls unify unless the two are one object. A compound
-    n tests the goal term's functor and arity and reads its arguments
-    r{n} (read mode); on an unbound cell c{n}, or below a compound built
-    in write mode, r{n} is None, and a second group after n's children
-    builds t{n} (write mode) and binds c{n} to it. An argument that is
-    linear and whose variables are all new is unified with no occurs
-    scan: it is not subject to occur-check (the NSTO lemma, Apt and
-    Pellegrini 1994). No statement nests another, so template depth is
-    bounded by neither the Python stack nor the compiler's nesting."""
+    Its source holds one flat statement group per node of the head, in
+    pre-order, with slot i as the local s{i}; then a new cell for each
+    body-only variable, and the body atoms' lines (`_atom_text`). A slot's
+    first occurrence takes the dereferenced goal term as it is, and binds
+    it to a new cell only if it is an unbound cell in Q, so that `q(X)`
+    against `q(Y).` reports X = _G1. Elsewhere that link changes no
+    answer: the two cells stay in one class of equal terms, any later
+    binding of either binds the chain end in the same direction and
+    order, so `resolve` meets the chain ends of an answer in the same
+    order and names them _G1, _G2, ... alike. Only an unbound query cell
+    keeps a name of its own, so only it can tell the link apart.
+
+    A later occurrence, and a ground subterm, calls unify unless the two
+    are one object. A compound n tests the goal term's functor and arity
+    and reads its arguments r{n} (read mode); on an unbound cell c{n}, or
+    below a compound built in write mode, r{n} is None, and a second group
+    after n's children builds t{n} (write mode) and binds c{n} to it. An
+    argument that is linear and whose variables are all new is unified
+    with no occurs scan: it is not subject to occur-check (the NSTO lemma,
+    Apt and Pellegrini 1994). No statement nests another, so template
+    depth is bounded by neither the Python stack nor the compiler's
+    nesting."""
     consts: list = []  # the functors and ground subterms
     lines = []
     seen: set = set()  # the slots filled so far
     done: list = []  # the expressions of finished templates, left to right
-    for i, arg in enumerate(tpl[1]):
+    for i, arg in enumerate(head[1]):
         occ = [x for x, _ in slot_walk((arg,)) if x.__class__ is int] \
             if arg.__class__ is tuple else ()
         scan = len(set(occ)) < len(occ) or not seen.isdisjoint(occ)
@@ -481,7 +498,7 @@ def head_code(tpl: tuple, cell, unify, occurs):
                 lines.append(f"if c{n} is not None: T.append(c{n}); c{n}.ref = t{n}")
                 continue
             if u.__class__ is not tuple and (u.__class__ is not int or u in seen):
-                e = f"s[{u}]" if u.__class__ is int else _const(consts, u)
+                e = f"s{u}" if u.__class__ is int else _const(consts, u)
                 lines.append(f"if {read + ' and ' if read else ''}{g} is not {e} "
                              f"and not unify({g}, {e}, T): return False")
                 done.append(e)
@@ -490,9 +507,9 @@ def head_code(tpl: tuple, cell, unify, occurs):
                       "while x.__class__ is V and x.ref is not None: x = x.ref")
             if u.__class__ is int:
                 seen.add(u)
-                lines += ("if x.__class__ is V: T.append(x); x.ref = x = V()",
-                          f"s[{u}] = V() if x is None else x" if read else f"s[{u}] = x")
-                done.append(f"s[{u}]")
+                lines += ("if x.__class__ is V and x in Q: T.append(x); x.ref = x = V()",
+                          f"s{u} = V() if x is None else x" if read else f"s{u} = x")
+                done.append(f"s{u}")
                 continue
             n, f = len(lines), _const(consts, u[0])
             lines += (f"if x.__class__ is C and (x.functor != {f} or len(x.args) != "
@@ -502,8 +519,11 @@ def head_code(tpl: tuple, cell, unify, occurs):
             todo.append(([n, f, len(u[1])], "", ""))
             todo.extend((v, f"r{n}[{j}]", f"r{n} is not None")
                         for j, v in reversed(list(enumerate(u[1]))))
-    lines.append("return True")
-    return _function("unify_head", "a, s, T", lines, consts, C=Compound, V=cell,
+    body_only = {u for _, args in body for u, _ in slot_walk(args) if u.__class__ is int} - seen
+    lines += [f"s{u} = V()" for u in sorted(body_only)]
+    atoms = [_atom_text(tpl, consts, lines, "s{}") for tpl in body]
+    lines.append(f"return {_tuple_text(atoms, len(atoms))}" if atoms else "return True")
+    return _function("clause", "a, T, Q", lines, consts, C=Compound, V=cell, A=Atom,
                      unify=unify, occurs=occurs)
 
 
@@ -582,8 +602,10 @@ def slot_walk(args) -> list:
 
 def format_term(t: Term) -> str:
     """Canonical text of t; iterative, so term depth is not bounded by the
-    Python stack."""
+    Python stack. The value of each numeral node on a walked s/1 spine is
+    kept for the call, so a spine shared by many numerals is walked once."""
     out, todo = [], [t]  # todo: terms to print, and text to emit as it is
+    value = {ZERO: 0}  # numeral -> its number
     while todo:
         t = todo.pop()
         if t.__class__ is str:
@@ -591,13 +613,16 @@ def format_term(t: Term) -> str:
         elif isinstance(t, Var):
             out.append(t.name)
         elif t.functor == SUCC and len(t.args) == 1:
-            n = 0  # one walk down the s/1 spine: a numeral, or s(...) around its end
-            while t.__class__ is Compound and t.functor == SUCC and len(t.args) == 1:
-                n, t = n + 1, t.args[0]
-            if t == ZERO:
-                out.append(str(n))
+            n, u = 0, t  # one walk down the s/1 spine, to a numeral or its end
+            while u.__class__ is Compound and u not in value and u.functor == SUCC \
+                    and len(u.args) == 1:
+                n, u = n + 1, u.args[0]
+            if u.__class__ is Compound and u in value:
+                for k in range(value[u] + n, value[u], -1):
+                    value[t], t = k, t.args[0]
+                out.append(str(value[u] + n))
             else:
-                todo += (")" * n, t, "s(" * n)
+                todo += (")" * n, u, "s(" * n)
         elif not t.args:
             out.append("[]" if t == NIL else t.functor)
         else:

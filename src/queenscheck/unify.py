@@ -2,9 +2,11 @@
 
 A `Cell` holds its binding in one slot; binding it appends it to a trail,
 and `undo` empties the slots again. `unify` is the one unifier, and the
-generated head code of a clause (`terms.head_code`) calls it where a
-head variable occurs again. `try_unify_atoms` runs that head code on a
-goal, and `resolve` reads a term back off the cells. A ground compound
+generated code of a clause (`terms.head_code`) calls it where a head
+variable occurs again. `try_unify_atoms` runs that clause code on a goal,
+which binds an unbound goal cell that a head variable takes only when it
+is one of the query's own cells, and `resolve` reads a term back off the
+cells. A ground compound
 holds no cell (`Compound.ground`), so `unify` decides two of them by `==`,
 which compares their cached hashes first, `occurs` does not scan one, and
 `resolve` returns one as it is.
@@ -81,11 +83,11 @@ def unify(t1, t2, trail: list) -> bool:
     return True
 
 
-def try_unify_atoms(goal: Atom, head, slots: list, trail: list) -> bool:
-    """Unify goal with the clause head whose head code is head (see
-    `terms.head_code`), filling slots; the caller undoes the trail on
-    failure."""
-    return head(goal.args, slots, trail)
+def try_unify_atoms(goal: Atom, code, trail: list, own: set):
+    """Run the clause code code (see `terms.head_code`) on goal, with own
+    the set of the query's cells: the body, True for a unit clause, or
+    False if goal and the head do not unify; the caller undoes the trail."""
+    return code(goal.args, trail, own)
 
 
 def resolve(t, names: dict, fresh=None) -> Term:

@@ -375,3 +375,67 @@ def test_deeply_nested_input_answers(capsys, tmp_path, source, query, signature,
     code, out, err = run(capsys, *argv)
     assert (code, err) == (EXIT_OK, "")
     assert out.splitlines() == want + ["1 answers"]
+
+
+#: Non-ground queries and their text and records stdout, recorded before the
+#: engine stopped binding each unbound goal cell that a head variable takes.
+NAMING = json.loads((Path(__file__).parent / "answer_naming.json").read_text())
+
+
+@pytest.mark.parametrize("rule", ["leftmost", "rightmost", "fair"])
+@pytest.mark.parametrize("query", sorted(NAMING["queries"]))
+def test_answer_naming_golden(capsys, tmp_path, query, rule):
+    # an unbound query variable that a head variable takes is reported bound
+    # to a new _Gk (q(X) against q(Y).), one below a compound keeps its name
+    # and is not reported (q(f(X))), and other new variables are _G1, _G2,
+    # ... in order of first occurrence in the answer
+    f = tmp_path / "naming.pl"
+    f.write_text("\n".join(NAMING["program"]) + "\n")
+    want = NAMING["queries"][query]
+    for fmt in ("text", "records"):
+        code, out, err = run(capsys, "query", str(f), query, "--rule", rule,
+                             "--format", fmt, *want["options"])
+        assert (code, err, out.splitlines()) == (EXIT_OK, "", want[fmt])
+
+
+_N = 10_000
+#: (text, its answer text when a clause's variables are renamed, and when
+#: it is the query's own) of each shape: nesting or a list 10,000 long
+_SWEEP_SHAPES = {
+    "s-chain": (_nest("s", _N, "0"), str(_N)),
+    "f-chain": (_nest("f", _N, "a"),) * 2,
+    "open-list": ("[" + "a," * (_N - 1) + "a|T]",
+                  "[" + "a," * (_N - 1) + "a|_G1]"),
+    "numerals": ("[" + ",".join(map(str, range(_N))) + "]",) * 2,
+    "variables": ("[" + ",".join(f"X{i}" for i in range(_N)) + "]",
+                  "[" + ",".join(f"_G{i}" for i in range(1, _N + 1)) + "]"),
+}
+#: (program, query) with the shape's text for T
+_SWEEP_POSITIONS = {
+    "query": ("p(X).\n", "p(T)"),
+    "fact": ("p(T).\n", "p(Z)"),
+    "rule-head": ("p(T) :- q.\nq.\n", "p(Z)"),
+    "rule-body": ("p(Z) :- q(T, Z).\nq(Y, Y).\n", "p(Z)"),
+}
+
+
+@pytest.mark.parametrize("signature", [False, True], ids=["", "signature"])
+@pytest.mark.parametrize("position", list(_SWEEP_POSITIONS))
+@pytest.mark.parametrize("shape", list(_SWEEP_SHAPES))
+def test_deep_input_sweep(capsys, tmp_path, shape, position, signature):
+    # every shape, 10,000 deep or long, in every place a term can stand is
+    # parsed, unified, built and printed by code that does not recurse
+    text, renamed = _SWEEP_SHAPES[shape]
+    program, query = _SWEEP_POSITIONS[position]
+    f = tmp_path / "sweep.pl"
+    f.write_text(program.replace("T", text))
+    argv = ["query", str(f), query.replace("T", text)]
+    if signature:
+        sig = tmp_path / "sig.txt"
+        sig.write_text("0 0\ns 1\nf 1\na 0\nnil 0\ncons 2\n")
+        argv += ["--signature", str(sig)]
+    with time_limit(15):
+        code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    want = renamed if position != "query" or shape == "s-chain" else text
+    assert out == f"p({want})\n1 answers\n"

@@ -35,6 +35,7 @@ from queenscheck.terms import (
     term_vars,
 )
 from queenscheck.unify import Cell, resolve
+from conftest import time_limit
 from unify_oracle import mgu
 
 X, Y, V = Var("X"), Var("Y"), Var("V")
@@ -261,6 +262,19 @@ def test_formatting():
     assert format_atom(Atom("pqs", (ZERO, X, Y, V))) == "pqs(0,X,Y,V)"
     c = Clause(Atom("p", (X,)), (Atom("q", (X,)),))
     assert format_clause(c) == "p(X) :- q(X)."
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["ascending", "descending"])
+def test_format_term_prints_shared_numerals_in_linear_time(order):
+    # each numeral is s/1 around the one before it, so walking every spine to
+    # its end would take 50 million steps; an s/1 spine over a shared numeral
+    # that does not end in 0 still prints as s(...)
+    nums = _shared_numerals(10_000)
+    t = make_list([Compound("s", (Compound("s", (V,)),)), *nums[::order],
+                   Compound("s", (nums[5], a)), Compound("s", (Compound("s", (nums[3],)),))])
+    with time_limit(2):
+        text = format_term(t)
+    assert text == "[s(s(V))," + ",".join(map(str, range(10_000)[::order])) + ",s(5,a),5]"
 
 
 def test_signature_checks():
