@@ -39,7 +39,7 @@ class Var:
 
 #: Compounds less deep than this compare their arguments by recursive
 #: `==`, which stays far below Python's recursion limit; deeper ones are
-#: walked with an explicit stack.
+#: walked with an explicit stack. `format_term` values deeper numerals once.
 _SHALLOW = 100
 
 
@@ -602,10 +602,9 @@ def slot_walk(args) -> list:
 
 def format_term(t: Term) -> str:
     """Canonical text of t; iterative, so term depth is not bounded by the
-    Python stack. The value of each numeral node on a walked s/1 spine is
-    kept for the call, so a spine shared by many numerals is walked once."""
+    Python stack, and each node of a deep numeral's spine is walked once."""
     out, todo = [], [t]  # todo: terms to print, and text to emit as it is
-    value = {ZERO: 0}  # numeral -> its number
+    value: dict = {}  # id of a numeral on a walked s/1 spine -> its number
     while todo:
         t = todo.pop()
         if t.__class__ is str:
@@ -613,16 +612,17 @@ def format_term(t: Term) -> str:
         elif isinstance(t, Var):
             out.append(t.name)
         elif t.functor == SUCC and len(t.args) == 1:
-            n, u = 0, t  # one walk down the s/1 spine, to a numeral or its end
-            while u.__class__ is Compound and u not in value and u.functor == SUCC \
-                    and len(u.args) == 1:
+            n, u, deep = 0, t, t.depth >= _SHALLOW  # a shallow spine is walked, not valued
+            while u.__class__ is Compound and u.functor == SUCC and len(u.args) == 1 \
+                    and not (deep and id(u) in value):
                 n, u = n + 1, u.args[0]
-            if u.__class__ is Compound and u in value:
-                for k in range(value[u] + n, value[u], -1):
-                    value[t], t = k, t.args[0]
-                out.append(str(value[u] + n))
-            else:
+            base = 0 if u == ZERO else value.get(id(u))  # u's number, if it is a numeral
+            if base is None:
                 todo += (")" * n, u, "s(" * n)
+                continue
+            for k in range(base + n, base, -1) if deep else ():
+                value[id(t)], t = k, t.args[0]
+            out.append(str(base + n))
         elif not t.args:
             out.append("[]" if t == NIL else t.functor)
         else:
