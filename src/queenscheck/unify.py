@@ -3,13 +3,12 @@
 A `Cell` holds its binding in one slot; binding it appends it to a trail,
 and `undo` empties the slots again. `unify` is the one unifier, and the
 generated code of a clause (`terms.head_code`) calls it where a head
-variable occurs again. `try_unify_atoms` runs that clause code on a goal,
-which binds an unbound goal cell that a head variable takes only when it
-is one of the query's own cells, and `resolve` reads a term back off the
-cells. A ground compound
-holds no cell (`Compound.ground`), so `unify` decides two of them by `==`,
-which compares their cached hashes first, `occurs` does not scan one, and
-`resolve` returns one as it is.
+variable occurs again. `try_unify_atoms` runs that clause code on a goal;
+it binds an unbound goal cell that a head variable takes only when it is
+one of the query's own cells. `resolve` reads a term back off the cells.
+A ground compound holds no cell (`Compound.ground`), so `unify` decides
+two of them by `==`, which compares their cached hashes first, `occurs`
+does not scan one, and `resolve` returns one as it is.
 """
 
 from .terms import Atom, Compound, Term

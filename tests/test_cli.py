@@ -399,8 +399,9 @@ def test_answer_naming_golden(capsys, tmp_path, query, rule):
 
 
 _N = 10_000
-#: (text, its answer text when a clause's variables are renamed, and when
-#: it is the query's own) of each shape: nesting or a list 10,000 long
+#: (source text, answer text) of each shape, nesting or a list 10,000 long;
+#: the answer text has the clause's variables renamed, and in a query the
+#: answer keeps the source text, but for an s/1 chain, printed as a number
 _SWEEP_SHAPES = {
     "s-chain": (_nest("s", _N, "0"), str(_N)),
     "f-chain": (_nest("f", _N, "a"),) * 2,
