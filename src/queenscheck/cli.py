@@ -23,7 +23,7 @@ from .queens import (
     solution_line,
     solve_queens,
 )
-from .specs import PQ, exactness_pool, sample_s_pq, spec_set
+from .specs import PQ, sample_s_pq, spec_set, term_pool
 from .terms import (
     DEFAULT_SIGNATURE,
     Program,
@@ -31,6 +31,8 @@ from .terms import (
     SignatureError,
     format_query,
     format_term,
+    make_list,
+    numeral,
 )
 from .verify import (
     check_completeness_condition,
@@ -189,6 +191,9 @@ def _emit(report, fmt: str):
 
 def cmd_verify(args) -> int:
     sig = _load_signature(args.signature) if args.signature else DEFAULT_SIGNATURE
+    if args.suite in ("model", "covered", "fixpoint", "all"):
+        # their slices hold numerals and lists whatever the signature declares
+        sig.check_term(make_list([numeral(1)]))
     program = mutant_program(args.mutate) if args.mutate else nqueens_program()
     depth = args.depth if args.depth is not None else 3
 
@@ -217,7 +222,7 @@ def cmd_verify(args) -> int:
             reports.append(check_row_shift())
         elif suite == "fixpoint":
             fragment = Program(program.clauses_for(PQ))
-            pool = exactness_pool(sig)
+            pool = term_pool(sig, 1)
             expected = sample_s_pq(sig, depth, pool=pool, max_spine=depth)
             reports.append(check_fixpoint_exactness(fragment, expected, sig,
                                                     depth, pool=pool))

@@ -2,14 +2,14 @@
 
 The Herbrand universe and base are infinite; everything here works on
 finite slices. `tp_fixpoint` is computed bottom-up by matching clause
-bodies against already-derived atoms, grounding free variables over a
-small filler pool; the result is an under-approximation of the least
+bodies against already-derived atoms, grounding free variables over the
+caller's pool; the result is an under-approximation of the least
 Herbrand model restricted to the depth bound.
 """
 
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .terms import (
     Atom,
@@ -22,7 +22,6 @@ from .terms import (
     format_term,
     is_ground,
     match_template,
-    numeral,
     slot_walk,
     term_depth,
 )
@@ -140,34 +139,17 @@ def _index_by_pred(atoms: Iterable[Atom]) -> dict:
     return out
 
 
-def _default_pool(sig: Signature, max_depth: int) -> tuple:
-    """Grounding pool for free clause variables: a few representative filler
-    constants plus the numerals up to the depth bound."""
-    fillers = []
-    consts = sig.constants()
-    for want in ("0", "nil", "a"):
-        if want in consts:
-            fillers.append(Compound(want))
-    if not fillers:
-        fillers = [Compound(consts[0])]
-    # the fillers are constants, so no numeral from 1 up is among them
-    return tuple(fillers) + tuple(numeral(n) for n in range(1, max_depth + 1))
-
-
-def tp_fixpoint(p: Program, sig: Signature, max_depth: int,
-                pool: Optional[tuple] = None,
+def tp_fixpoint(p: Program, sig: Signature, max_depth: int, pool: tuple,
                 max_atoms: int = DEFAULT_MAX_INSTANCES) -> frozenset:
     """Bottom-up least fixpoint, keeping only atoms of depth <= max_depth.
 
     Free variables (unit-clause variables and body/head variables not fixed
-    by matching) range over `pool`. The result under-approximates the least
-    Herbrand model intersected with the depth slice: derivations that need
-    intermediate atoms outside the slice, or filler terms outside the pool,
-    are cut. Raises ResourceCapError with the partial set when the atom
-    budget is exhausted.
+    by matching) range over the caller's ground `pool`. The result
+    under-approximates the least Herbrand model intersected with the depth
+    slice: derivations that need intermediate atoms outside the slice, or
+    filler terms outside the pool, are cut. Raises ResourceCapError with
+    the partial set when the atom budget is exhausted.
     """
-    if pool is None:
-        pool = _default_pool(sig, max_depth)
     for t in pool:
         sig.check_term(t)
         if not is_ground(t):

@@ -208,14 +208,20 @@ QUEENS_LEVEL_MAPPING = LevelMapping({(PQS, 4): ((0, 1), (1, 1)), (PQ, 4): ((1, 1
 
 # --- bounded samplers ----------------------------------------------------------
 
-def filler_terms(sig: Signature, count: int = 2) -> tuple:
-    """A few distinct filler constants, preferring 0 and a."""
+def filler_terms(sig: Signature) -> tuple:
+    """Two distinct filler constants, preferring 0 and a."""
     consts = sig.constants()
     preferred = [c for c in ("0", "a", "b", "nil") if c in consts]
     for c in consts:
         if c not in preferred:
             preferred.append(c)
-    return tuple(Compound(c) for c in preferred[:count])
+    return tuple(Compound(c) for c in preferred[:2])
+
+
+def term_pool(sig: Signature, numerals: int) -> tuple:
+    """The grounding pool of the bounded checks: the two filler constants,
+    then the numerals 1..numerals, none of which is a constant."""
+    return filler_terms(sig) + tuple(numeral(n) for n in range(1, numerals + 1))
 
 
 def letter_terms(sig: Signature) -> tuple:
@@ -226,7 +232,7 @@ def letter_terms(sig: Signature) -> tuple:
 def small_term_pool(sig: Signature, depth: int) -> tuple:
     """Constants, small numerals, and short lists over them; the grounding
     pool for don't-care argument positions in bounded checks."""
-    elems = _pq_pool(sig, depth)
+    elems = term_pool(sig, min(depth, 2))
     pool = list(elems) + [NIL]
     tails = [NIL, elems[0]]
     for e in elems:
@@ -280,7 +286,7 @@ def sample_s0_pqs(sig: Signature, depth: int) -> Iterator[Atom]:
     from a diagonal-safe placement of queens 1..i (i <= min(depth, 4)) into
     columns 1..L (L <= max(depth, i)), with filler variants for the
     unconstrained positions and tails."""
-    fill = filler_terms(sig, 2)
+    fill = filler_terms(sig)
     letters = letter_terms(sig)
     max_i = min(depth, 4)
     for i in range(1, max_i + 1):
@@ -312,7 +318,7 @@ def sample_s_pqs(sig: Signature, depth: int) -> Iterator[Atom]:
     zero = numeral(0)
     for x, y, z in product(pool, repeat=3):
         yield Atom(PQS, (zero, x, y, z))
-    fill = filler_terms(sig, 2)
+    fill = filler_terms(sig)
     # non-distinct column lists: membership only needs 1..i among the members
     for i in range(1, min(depth, 3) + 1):
         queens = [numeral(j) for j in range(1, i + 1)]
@@ -348,7 +354,7 @@ def sample_s_pq(sig: Signature, depth: int,
     position k, prefixes and tails drawn from the pool, all argument depths
     within the bound."""
     if pool is None:
-        pool = _pq_pool(sig, depth)
+        pool = term_pool(sig, min(depth, 2))
     if max_spine is None:
         max_spine = min(depth, 3)
     for k in range(1, max_spine + 1):
@@ -361,17 +367,6 @@ def sample_s_pq(sig: Signature, depth: int,
                         variants.append(lst)
             for cs, us, ds in product(variants, repeat=3):
                 yield Atom(PQ, (i, cs, us, ds))
-
-
-def exactness_pool(sig: Signature) -> tuple:
-    """Small member/tail/filler pool shared by the pq sampler and the
-    bottom-up fixpoint when the two slices must coincide exactly."""
-    return filler_terms(sig, 2) + (numeral(1),)
-
-
-def _pq_pool(sig: Signature, depth: int) -> tuple:
-    # the fillers are constants, so no numeral from 1 up is among them
-    return filler_terms(sig, 2) + tuple(numeral(n) for n in range(1, min(depth, 2) + 1))
 
 
 def sample_s(sig: Signature, depth: int) -> Iterator[Atom]:

@@ -30,9 +30,9 @@ from .specs import (
     SpecSet,
     correct_up_to,
     diagonal_lists,
-    filler_terms,
     letter_terms,
     safe_placements,
+    term_pool,
 )
 from .terms import (
     Atom,
@@ -155,7 +155,7 @@ def check_model(program: Program, spec: SpecSet,
     body-first against the spec's sampled slice, with leftover variables
     ranging over a small filler pool.
     """
-    fillers = filler_terms(sig, 2)
+    fillers = term_pool(sig, 0)
     report = CheckReport(
         "check_model",
         parameters={
@@ -239,7 +239,7 @@ def _coverer(program: Program, spec: SpecSet, sig: Signature, depth: int):
         vs, head_tpl, body_tpls = clause_template(c)
         compiled.append((c, len(vs), head_tpl, atom_builder(head_tpl),
                          body_reads(body_tpls)))
-    extra = list(filler_terms(sig, 2)) + [numeral(n) for n in range(0, depth + 1)]
+    extra = term_pool(sig, depth)
 
     def pool_for(a: Atom) -> tuple:
         pool: set = set()
@@ -389,7 +389,7 @@ def check_query_bound(query: Query,
 
 def check_fixpoint_exactness(program: Program, expected: Iterable[Atom],
                              sig: Signature = DEFAULT_SIGNATURE, depth: int = 3,
-                             pool: Optional[tuple] = None,
+                             *, pool: tuple,
                              max_atoms: int = DEFAULT_MAX_INSTANCES) -> CheckReport:
     """Set equality between the bottom-up fixpoint and an expected slice of
     atoms; both sides must be built over the same pool and depth for the

@@ -22,7 +22,7 @@ from queenscheck.verify import CheckReport
 def recurrence_pool(sig, depth: int) -> tuple:
     """Probe terms up to the given depth, most structurally informative
     first so budget truncation keeps the interesting ones."""
-    fill = filler_terms(sig, 2)
+    fill = filler_terms(sig)
     a = fill[-1]
     pool = [numeral(1), make_list([a])] + list(fill)
     if depth >= 2:

@@ -51,7 +51,7 @@ def _mutate_list(rng: random.Random, t, atoms):
     return make_list(ms)
 
 
-def row_shift_instance(cs, us, ds, t, t2, m, i, fill=filler_terms(DEFAULT_SIGNATURE, 2),
+def row_shift_instance(cs, us, ds, t, t2, m, i, fill=filler_terms(DEFAULT_SIGNATURE),
                        diagonals=DIAGONALS):
     """(forward premise holds, backward premise holds, counterexamples) for
     one instance; the backward witness is searched over the queens 1..m and
@@ -85,7 +85,7 @@ def scan_row_shift(sig=DEFAULT_SIGNATURE, max_i: int = 4, n_instances: int = 120
     constructions (premise true by design) with seeded random and
     perturbed ones.
     """
-    fill = filler_terms(sig, 2)
+    fill = filler_terms(sig)
     letters = letter_terms(sig)
     rng = random.Random(seed)
     report = CheckReport(

@@ -23,10 +23,10 @@ from queenscheck.queens import (
 )
 from queenscheck.specs import (
     QUEENS_LEVEL_MAPPING,
-    exactness_pool,
     sample_s0_pqs,
     sample_s_pq,
     spec_set,
+    term_pool,
 )
 from queenscheck.terms import DEFAULT_SIGNATURE, Program, numeral_value
 from queenscheck.verify import (
@@ -138,7 +138,7 @@ def _failing_check(m: Program):
     if check_completeness_condition(m, spec_set("s0"), SIG, 3,
                                     sample_budget=2_000).verdict == "fail":
         return "check_completeness_condition"
-    pool = exactness_pool(SIG)
+    pool = term_pool(SIG, 1)
     expected = sample_s_pq(SIG, 3, pool=pool, max_spine=3)
     fragment = Program(m.clauses_for("pq"))
     if check_fixpoint_exactness(fragment, expected, SIG, 3,
@@ -160,7 +160,7 @@ def test_criterion_5_mutation_sensitivity():
         print(f"  mutant {name}: "
               + (f"caught by {check}" if check else "NOT caught"))
 
-    pool = exactness_pool(SIG)
+    pool = term_pool(SIG, 1)
     original_fix = tp_fixpoint(nqueens_program(), SIG, 3, pool=pool)
     not_equivalent = []
     for name in sorted(EQUIVALENT):
@@ -193,7 +193,7 @@ def test_criterion_5_mutation_sensitivity():
 
 
 def test_criterion_6_pq_fixpoint_exactness():
-    pool = exactness_pool(SIG)
+    pool = term_pool(SIG, 1)
     fragment = Program(nqueens_program().clauses_for("pq"))
     expected = sample_s_pq(SIG, 4, pool=pool, max_spine=4)
     r = check_fixpoint_exactness(fragment, expected, SIG, 4, pool=pool)

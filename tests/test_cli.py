@@ -223,6 +223,16 @@ def test_signature_file(capsys, tmp_path, prog_file):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("suite", ["model", "covered", "fixpoint", "all"])
+def test_verify_signature_must_declare_numerals_and_lists(capsys, tmp_path, suite):
+    # these suites scan numerals and lists, so a signature without them is
+    # an input error, not a pass over terms it does not declare
+    sig = tmp_path / "a.sig"
+    sig.write_text("a 0\n")
+    code, out, err = run(capsys, "verify", suite, "--signature", str(sig), "--depth", "2")
+    assert (code, out, err) == (EXIT_USAGE, "", "error: undeclared symbol cons/2\n")
+
+
 @pytest.mark.parametrize("bad", ["foo", "cons x", "cons 2 3"])
 def test_malformed_signature_line(capsys, tmp_path, prog_file, bad):
     sig = tmp_path / "sig.txt"

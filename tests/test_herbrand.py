@@ -99,19 +99,25 @@ def test_ground_instances_skeleton_exceeds_bound():
     assert r.parameters["clause_0_scan"] == "skipped: over budget"
 
 
+def _pool(depth):
+    """The pool tp_fixpoint took by default on SIG: 0, nil, a and the
+    numerals up to the depth."""
+    return (ZERO, NIL, Compound("a")) + tuple(numeral(n) for n in range(1, depth + 1))
+
+
 def test_tp_fixpoint_empty_program():
-    assert tp_fixpoint(Program(()), SIG, 2) == frozenset()
+    assert tp_fixpoint(Program(()), SIG, 2, _pool(2)) == frozenset()
 
 
 def test_tp_fixpoint_pq_fragment_within_spec():
-    fix = tp_fixpoint(pq_fragment(), SIG, 2)
+    fix = tp_fixpoint(pq_fragment(), SIG, 2, _pool(2))
     assert fix
     assert all(in_s_pq(a) for a in fix)
 
 
 def test_tp_fixpoint_monotone_in_depth():
-    f2 = tp_fixpoint(pq_fragment(), SIG, 2)
-    f3 = tp_fixpoint(pq_fragment(), SIG, 3)
+    f2 = tp_fixpoint(pq_fragment(), SIG, 2, _pool(2))
+    f3 = tp_fixpoint(pq_fragment(), SIG, 3, _pool(3))
     assert f2 <= f3
 
 
@@ -120,14 +126,14 @@ def test_tp_fixpoint_engine_agreement():
     from queenscheck.engine import solve_answers
     from queenscheck.terms import Query
     p = pq_fragment()
-    fix = tp_fixpoint(p, SIG, 2)
+    fix = tp_fixpoint(p, SIG, 2, _pool(2))
     for a in sorted(fix, key=format_atom)[:25]:
         assert solve_answers(p, Query((a,)))
 
 
 def test_tp_fixpoint_resource_cap_partial():
     with pytest.raises(ResourceCapError) as e:
-        tp_fixpoint(nqueens_program(), SIG, 3, max_atoms=50)
+        tp_fixpoint(nqueens_program(), SIG, 3, _pool(3), max_atoms=50)
     assert e.value.partial is not None
     assert e.value.examined > 0
 
@@ -163,8 +169,8 @@ def test_bound_depth_is_skeleton_depth_of_the_partial_instance(args, values):
 
 
 def test_tp_fixpoint_default_pool_sizes():
-    # recorded before heads were built from slot templates; the default
-    # pool holds numerals up to the depth, so the per-variable depth limits
-    # of the filler products are exercised here
-    assert len(tp_fixpoint(pq_fragment(), SIG, 2)) == 5_440
-    assert len(tp_fixpoint(nqueens_program(), SIG, 2)) == 5_565
+    # recorded before heads were built from slot templates; the pool holds
+    # numerals up to the depth, so the per-variable depth limits of the
+    # filler products are exercised here
+    assert len(tp_fixpoint(pq_fragment(), SIG, 2, _pool(2))) == 5_440
+    assert len(tp_fixpoint(nqueens_program(), SIG, 2, _pool(2))) == 5_565

@@ -11,7 +11,6 @@ from queenscheck.specs import (
     PlacementTriple,
     QUEENS_LEVEL_MAPPING,
     correct_up_to,
-    exactness_pool,
     filler_terms,
     in_s,
     in_s0,
@@ -24,6 +23,7 @@ from queenscheck.specs import (
     sample_s_pq,
     spec_set,
     spine,
+    term_pool,
 )
 from queenscheck.terms import (
     Atom,
@@ -212,10 +212,21 @@ def test_sampler_s0_prefix_diverse():
     assert any(a.pred == "pqs" and a.args[0] != ZERO for a in prefix)
 
 
-def test_exactness_pool_contents():
-    pool = exactness_pool(SIG)
-    assert set(pool) == {ZERO, Compound("a"), numeral(1)}
-    assert filler_terms(SIG, 2) == (ZERO, Compound("a"))
+def test_grounding_pool_slices():
+    # each slice the checks take from term_pool, on the default signature,
+    # against the terms the builders it replaced gave, in order
+    a, one, two = Compound("a"), numeral(1), numeral(2)
+    # check_model's fillers, and the samplers' fill terms
+    assert term_pool(SIG, 0) == filler_terms(SIG) == (ZERO, a)
+    # the fixpoint suite's pool, shared by its fixpoint and its pq slice
+    assert term_pool(SIG, 1) == (ZERO, a, one)
+    # the pq sampler's member pool at depths 1, 2 and 3
+    for depth, want in ((1, (ZERO, a, one)), (2, (ZERO, a, one, two)),
+                        (3, (ZERO, a, one, two))):
+        assert term_pool(SIG, min(depth, 2)) == want
+        assert list(sample_s_pq(SIG, depth)) == list(sample_s_pq(SIG, depth, pool=want))
+    # _coverer's extra terms at depth 2: the fillers and the numerals 0..2
+    assert set(term_pool(SIG, 2)) == {ZERO, a, one, two}
 
 
 def test_sample_s_pq_respects_depth_bound():

@@ -12,11 +12,11 @@ from queenscheck.specs import (
     LevelMapping,
     QUEENS_LEVEL_MAPPING,
     SpecSet,
-    exactness_pool,
     sample_s0_pqs,
     sample_s_pq,
     sample_s_pqs,
     spec_set,
+    term_pool,
 )
 from queenscheck.terms import (
     Atom,
@@ -289,7 +289,7 @@ def test_query_bound():
 
 
 def test_fixpoint_exactness_aligned_slices():
-    pool = exactness_pool(SIG)
+    pool = term_pool(SIG, 1)
     expected = sample_s_pq(SIG, 2, pool=pool, max_spine=2)
     r = check_fixpoint_exactness(pq_fragment(), expected, SIG, 2, pool=pool)
     assert r.verdict == "pass"
@@ -298,7 +298,7 @@ def test_fixpoint_exactness_aligned_slices():
 
 
 def test_fixpoint_exactness_detects_mismatch():
-    pool = exactness_pool(SIG)
+    pool = term_pool(SIG, 1)
     expected = list(sample_s_pq(SIG, 2, pool=pool, max_spine=2))
     expected.append(_atom("pq(0,[],[],[])"))  # not derivable
     r = check_fixpoint_exactness(pq_fragment(), expected, SIG, 2, pool=pool)
@@ -428,7 +428,7 @@ def test_check_work_is_pinned(mutant):
     assert r.parameters == {"depth": 1, "probe_pool_size": 4, "max_instances": 10_000_000,
                             "clause_1_pool": 4, "clause_3_pool": 4}
 
-    pool = exactness_pool(SIG)
+    pool = term_pool(SIG, 1)
     expected = sample_s_pq(SIG, 3, pool=pool, max_spine=3)
     r = check_fixpoint_exactness(Program(p.clauses_for("pq")), expected, SIG, 3, pool=pool)
     fix_broken = mutant == "nonuniform-strip"
